@@ -61,6 +61,9 @@ RunResult AsagaSolver::run(engine::Cluster& cluster, const Workload& workload,
 
   detail::dispatch_live(ac, config.barrier, factory);
 
+  // Step scratch, reused across updates: a per-update copy of ᾱ would churn
+  // the heap between the long-lived history snapshots.
+  linalg::DenseVector direction(dim);
   std::uint64_t updates = 0;
   while (updates < config.updates) {
     auto collected = ac.collect(&factory);
@@ -69,7 +72,7 @@ RunResult AsagaSolver::run(engine::Cluster& cluster, const Workload& workload,
     const GradHist& g = collected->result.payload.get<GradHist>();
     if (g.count > 0) {
       const double inv_b = 1.0 / static_cast<double>(g.count);
-      linalg::DenseVector direction = alpha_bar;
+      direction = alpha_bar;
       g.grad.scale_into(inv_b, direction.span());
       g.hist.scale_into(-inv_b, direction.span());
       linalg::axpy(-config.step(updates) * step_scale, direction.span(), w.span());
@@ -85,7 +88,7 @@ RunResult AsagaSolver::run(engine::Cluster& cluster, const Workload& workload,
     recorder.maybe_snapshot(updates, watch.elapsed_ms(), w);
     // History GC: floored by the sample table so recomputable historical
     // gradients keep their versions resolvable.
-    detail::maybe_gc_history(ac, config, updates, table->min_version());
+    detail::maybe_gc_history(ac, config, updates, [&] { return table->min_version(); });
 
     detail::dispatch_live(ac, config.barrier, factory);
   }

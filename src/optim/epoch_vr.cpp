@@ -100,7 +100,7 @@ RunResult EpochVrSolver::run(engine::Cluster& cluster, const Workload& workload,
       factory = rebuild_factory();
       recorder.maybe_snapshot(updates, watch.elapsed_ms(), w);
       // In-flight inner tasks still read the epoch's w̃ — floor the GC there.
-      detail::maybe_gc_history(ac, config, updates, snapshot_version);
+      detail::maybe_gc_history(ac, config, updates, [&] { return snapshot_version; });
       if (inner < config.epoch_inner_updates && updates < config.updates) {
         detail::dispatch_live(ac, config.barrier, factory);
       }

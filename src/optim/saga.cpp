@@ -63,6 +63,7 @@ RunResult SagaSolver::run(engine::Cluster& cluster, const Workload& workload,
   recorder.snapshot(k0, 0.0, w);
 
   auto comb = detail::grad_hist_comb();
+  linalg::DenseVector direction(dim);  // step scratch, reused across rounds
   for (std::uint64_t k = k0; k < config.updates; ++k) {
     std::vector<core::TaggedResult> results = ac.sync_round_fn(
         detail::saga_task_fn(workload, config, w_br, table, grad_cfg,
@@ -76,7 +77,7 @@ RunResult SagaSolver::run(engine::Cluster& cluster, const Workload& workload,
     if (total.count > 0) {
       const double inv_b = 1.0 / static_cast<double>(total.count);
       // w ← w − α (ĝ_new − ĝ_old + ᾱ)
-      linalg::DenseVector direction = alpha_bar;
+      direction = alpha_bar;
       total.grad.scale_into(inv_b, direction.span());
       total.hist.scale_into(-inv_b, direction.span());
       linalg::axpy(-config.step(k), direction.span(), w.span());
@@ -88,7 +89,7 @@ RunResult SagaSolver::run(engine::Cluster& cluster, const Workload& workload,
     ac.advance_version();
     w_br = ac.async_broadcast(w);
     recorder.maybe_snapshot(k + 1, watch.elapsed_ms(), w);
-    detail::maybe_gc_history(ac, config, k + 1, table->min_version());
+    detail::maybe_gc_history(ac, config, k + 1, [&] { return table->min_version(); });
     detail::maybe_checkpoint(config, ac, w, k + 1, {{"alpha_bar", alpha_bar}});
   }
   recorder.snapshot(config.updates, watch.elapsed_ms(), w);

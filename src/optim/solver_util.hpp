@@ -4,10 +4,12 @@
 // sequence operators (the `map` bodies of Algorithms 1–4).
 
 #include <algorithm>
+#include <concepts>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "core/async_context.hpp"
@@ -277,11 +279,21 @@ inline void maybe_checkpoint(const SolverConfig& config, core::AsyncContext& ac,
 /// `extra_floor` — the SampleVersionTable minimum for history-reading
 /// solvers) are compacted. Exactly then no dispatched task can reference the
 /// erased versions.
-inline void maybe_gc_history(core::AsyncContext& ac, const SolverConfig& config,
-                             std::uint64_t updates,
-                             std::optional<engine::Version> extra_floor = std::nullopt) {
+///
+/// `extra_floor` is a callable returning the floor (std::optional or a plain
+/// version): it is evaluated only when GC is due, so an O(n) table scan runs
+/// once per `gc_every` updates, not once per update.
+template <typename FloorFn>
+  requires std::invocable<FloorFn&>
+void maybe_gc_history(core::AsyncContext& ac, const SolverConfig& config,
+                      std::uint64_t updates, FloorFn&& extra_floor) {
   if (config.gc_every == 0 || updates == 0 || updates % config.gc_every != 0) return;
-  ac.gc_history(extra_floor);
+  ac.gc_history(std::optional<engine::Version>(extra_floor()));
+}
+
+inline void maybe_gc_history(core::AsyncContext& ac, const SolverConfig& config,
+                             std::uint64_t updates) {
+  maybe_gc_history(ac, config, updates, [] { return std::optional<engine::Version>(); });
 }
 
 /// Dispatch with a liveness guarantee: if the barrier admits nobody AND the

@@ -15,18 +15,11 @@ const linalg::DenseVector& VersionedModelCache::value_at(engine::Version version
   // including the modeled wire sleeps the admits charge — is the "fetch and
   // materialize w" cost of the calling task. No-op off the executor threads.
   telemetry::ScopedStageTimer fetch_timer(telemetry::Stage::kModelFetch);
-  // Releases the single-flight latch when a resolution attempt must restart
-  // (anchor invalidated / entry republished mid-flight).
-  const auto abandon = [&](engine::Version v) {
-    std::lock_guard lock(mutex_);
-    inflight_.erase(v);
-    resolved_cv_.notify_all();
-  };
-  // Resolution can race a same-version republish invalidating our anchor or
-  // replacing the entry; the loop simply re-resolves against the store's
-  // current chain.
+  // Resolution can race a same-version republish replacing the entry; the
+  // loop simply re-resolves against the store's current chain.
   for (int attempt = 0; attempt < 16; ++attempt) {
-    std::unordered_set<engine::Version> anchors;
+    std::vector<ChainLink> chain;
+    std::shared_ptr<const linalg::DenseVector> anchor;
     {
       std::unique_lock lock(mutex_);
       // Single-flight: one chain resolution at a time per cache. A sibling
@@ -42,16 +35,21 @@ const linalg::DenseVector& VersionedModelCache::value_at(engine::Version version
         return *it->second;
       }
       inflight_.insert(version);
-      anchors.reserve(models_.size());
-      for (const auto& [v, model] : models_) anchors.insert(v);
+      // The walk probes models_ under this lock (lock order cache → store,
+      // as in the commit path), so it visits only the chain's links and the
+      // anchor it picks is still materialized when taken below. Payloads in
+      // the chain are pinned: a concurrent GC cannot pull a link out from
+      // under the apply loop.
+      const AnchorProbe materialized = [this](engine::Version v) {
+        return models_.contains(v);
+      };
+      chain = store_->chain_for(version, &materialized);
+      assert(!chain.empty());
+      if (!chain.front().is_base) anchor = models_.at(chain.front().version);
     }
     // From here on this thread owns the latch for `version`: every exit path
-    // below releases it (abandon on restart, the commit paths on success).
+    // below releases it (a restart or a commit).
 
-    // Chain snapshot: payloads are pinned, so a concurrent GC cannot pull a
-    // link out from under the walk below.
-    const std::vector<ChainLink> chain = store_->chain_for(version, &anchors);
-    assert(!chain.empty());
     const ChainLink& head = chain.front();
     // The target version's own payload id (its delta link — or its base when
     // the chain is just the base): re-validated against a concurrent
@@ -105,18 +103,6 @@ const linalg::DenseVector& VersionedModelCache::value_at(engine::Version version
       }
     } else {
       // Nearest materialized ancestor: start from the local copy, free.
-      std::shared_ptr<const linalg::DenseVector> anchor;
-      {
-        std::lock_guard lock(mutex_);
-        if (const auto it = models_.find(head.version); it != models_.end()) {
-          anchor = it->second;
-        }
-      }
-      if (anchor == nullptr) {
-        // Invalidated meanwhile (same-version republish); re-resolve.
-        abandon(version);
-        continue;
-      }
       w = *anchor;
     }
 

@@ -11,6 +11,14 @@
 // already materialized is a pure cache hit: no wire traffic, no payload
 // lookups.
 //
+// A miss costs O(chain links), independent of how many versions the cache
+// holds: the store's walk probes this cache's materialized set link by link
+// (AnchorProbe) instead of receiving a copy of it.  The probe runs with the
+// cache mutex held across ModelStore::chain_for, so the lock order is
+// cache → store — the same as the commit path's re-check against the store
+// entry.  Nothing takes store → cache: the store calls drop_below/invalidate
+// only after releasing its own mutex.
+//
 // Resolution is single-flight per cache: when both executor threads of a
 // worker need new versions at once, the second waits for the first and then
 // anchors on its materialization instead of re-fetching almost the same
@@ -55,7 +63,8 @@ class VersionedModelCache {
 
   /// The dense model at `version`.  Materialized hit = free; miss fetches
   /// exactly the chain links missing from this worker and charges their exact
-  /// wire bytes.  Aborts (via ModelStore::chain_for) on unknown/GC'd versions.
+  /// wire bytes, planning the chain in O(links).  Aborts (via
+  /// ModelStore::chain_for) on unknown/GC'd versions.
   [[nodiscard]] const linalg::DenseVector& value_at(engine::Version version);
 
   /// True if `version` is materialized locally (value_at would be free).

@@ -55,17 +55,16 @@ engine::BroadcastId ModelStore::publish(const linalg::DenseVector& w,
   const bool scheduled_base = since_base_ + 1 >= cfg_.base_interval;
   bool densified = false;
 
-  ModelDelta delta;
+  // Diff into the reused index scratch first and build the delta only once
+  // it is known to stay sparse: a densifying publish (every dense-model
+  // update) then allocates nothing but its base snapshot.
+  changed_.clear();
   if (can_delta) {
-    delta.parent = prev_version_;
-    // Overwrite deltas must stay sparse; the size cutoff below fires first.
-    delta.values.ensure(linalg::GradVectorConfig(dim, /*threshold=*/1.01,
-                                                 /*dense_start=*/false));
     const double limit = cfg_.densify_threshold * static_cast<double>(dim);
     for (std::size_t i = 0; i < dim; ++i) {
       if (w[i] != prev_[i]) {
-        delta.values.set(static_cast<std::uint32_t>(i), w[i]);
-        if (static_cast<double>(delta.values.nnz()) > limit) {
+        changed_.push_back(static_cast<std::uint32_t>(i));
+        if (static_cast<double>(changed_.size()) > limit) {
           densified = true;  // a full snapshot is cheaper; break the chain
           break;
         }
@@ -74,10 +73,17 @@ engine::BroadcastId ModelStore::publish(const linalg::DenseVector& w,
   }
 
   VersionEntry entry;
-  entry.parent = delta.parent;
+  // A densified entry still records its would-be parent (the manifest keeps it).
+  entry.parent = can_delta ? prev_version_ : 0;
   // The delta twin ships whenever it stayed sparse — also alongside a
   // scheduled base, so warm workers ride the chain straight through it.
   if (can_delta && !densified) {
+    ModelDelta delta;
+    delta.parent = prev_version_;
+    // Overwrite deltas must stay sparse; the densify cutoff above fired first.
+    delta.values.ensure(linalg::GradVectorConfig(dim, /*threshold=*/1.01,
+                                                 /*dense_start=*/false));
+    for (const std::uint32_t i : changed_) delta.values.set(i, w[i]);
     entry.delta_bytes = delta.wire_bytes();
     entry.delta_id = broadcasts_->put(
         engine::Payload::wrap<ModelDelta>(std::move(delta), entry.delta_bytes));
@@ -266,9 +272,8 @@ bool ModelStore::ensure_payload_locked(engine::Version version, VersionEntry& e,
   return true;
 }
 
-std::vector<ChainLink> ModelStore::chain_locked(
-    engine::Version version,
-    const std::unordered_set<engine::Version>* anchors) const {
+std::vector<ChainLink> ModelStore::chain_locked(engine::Version version,
+                                                const AnchorProbe* anchors) const {
   std::vector<ChainLink> chain;
   while (true) {
     chain.clear();
@@ -297,9 +302,9 @@ std::vector<ChainLink> ModelStore::chain_locked(
   }
 }
 
-ModelStore::WalkOutcome ModelStore::walk_locked(
-    engine::Version version, const std::unordered_set<engine::Version>* anchors,
-    std::vector<ChainLink>& out) const {
+ModelStore::WalkOutcome ModelStore::walk_locked(engine::Version version,
+                                                const AnchorProbe* anchors,
+                                                std::vector<ChainLink>& out) const {
   // Walk from `version` toward older versions collecting delta links, keeping
   // the cheapest base stop seen so far; commit to a materialized anchor only
   // while its accumulated delta cost still beats every base plan.
@@ -360,7 +365,7 @@ ModelStore::WalkOutcome ModelStore::walk_locked(
     }
     VersionEntry& e = it->second;
 
-    if (u != version && anchors != nullptr && anchors->contains(u)) {
+    if (u != version && anchors != nullptr && (*anchors)(u)) {
       if (delta_cost <= best_base_cost) {
         // Materialized anchor wins: [anchor] + deltas above it.
         out.push_back(ChainLink{u, 0, 0, /*is_base=*/false, engine::Payload{}});
@@ -437,9 +442,8 @@ bool ModelStore::repair_locked(engine::Version version) const {
   return false;
 }
 
-std::vector<ChainLink> ModelStore::chain_for(
-    engine::Version version,
-    const std::unordered_set<engine::Version>* anchors) const {
+std::vector<ChainLink> ModelStore::chain_for(engine::Version version,
+                                             const AnchorProbe* anchors) const {
   std::lock_guard lock(mutex_);
   return chain_locked(version, anchors);
 }

@@ -36,11 +36,11 @@
 // the oldest retained version is rebased onto a fresh base snapshot when its
 // chain reached below the cut.
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "engine/broadcast.hpp"
@@ -101,6 +101,13 @@ struct ChainLink {
   engine::Payload payload;
 };
 
+/// Membership test for a resolving cache's materialized versions.  The walk
+/// probes it once per link it visits, so a resolve costs O(chain links) no
+/// matter how many versions the cache holds.  It is called with the store
+/// mutex held; the caller keeps its answers stable for the walk (the worker
+/// cache holds its own mutex across chain_for: lock order cache → store).
+using AnchorProbe = std::function<bool(engine::Version)>;
+
 /// Publishing statistics (driver-side; what was *registered*, not fetched —
 /// fetched traffic lives in ClusterMetrics).
 struct StoreStats {
@@ -134,15 +141,14 @@ class ModelStore {
   [[nodiscard]] std::optional<engine::BroadcastId> id_of(engine::Version version) const;
 
   /// Snapshot of the cheapest chain that materializes `version`, anchor
-  /// first, in apply order.  The walk runs toward the first version contained
-  /// in `anchors` (a cache's already-materialized versions) but switches to a
+  /// first, in apply order.  The walk runs toward the first version `anchors`
+  /// reports as materialized (by the calling cache) but switches to a
   /// base snapshot head when that costs fewer wire bytes (accumulated delta
   /// bytes vs snapshot bytes); a chain-breaking entry (densified delta, GC
   /// rebase, first version) always anchors on its snapshot.  Aborts if the
   /// version was never published or was GC'd: both are upstream logic errors.
   [[nodiscard]] std::vector<ChainLink> chain_for(
-      engine::Version version,
-      const std::unordered_set<engine::Version>* anchors = nullptr) const;
+      engine::Version version, const AnchorProbe* anchors = nullptr) const;
 
   /// Erases all versions < `min_version` (exact broadcast ids, server store
   /// and every registered cache), rebasing the oldest retained version onto a
@@ -216,12 +222,11 @@ class ModelStore {
   /// fault-in failures and repairs an unmaterializable version by
   /// re-publishing its nearest intact ancestor as a fresh base.
   [[nodiscard]] std::vector<ChainLink> chain_locked(
-      engine::Version version,
-      const std::unordered_set<engine::Version>* anchors) const;
+      engine::Version version, const AnchorProbe* anchors) const;
 
   /// One walk attempt; requires mutex_ held.
   [[nodiscard]] WalkOutcome walk_locked(
-      engine::Version version, const std::unordered_set<engine::Version>* anchors,
+      engine::Version version, const AnchorProbe* anchors,
       std::vector<ChainLink>& out) const;
 
   /// Ensures the base (or delta) payload of `e` is registered in memory,
@@ -255,6 +260,7 @@ class ModelStore {
   engine::Version prev_version_ = 0;
   bool has_prev_ = false;
   std::uint32_t since_base_ = 0;      ///< deltas published since the last base
+  std::vector<std::uint32_t> changed_;  ///< publish scratch: coords != prev_
   engine::Version gc_floor_ = 0;
   StoreStats stats_;
   std::int32_t shard_tag_ = -1;

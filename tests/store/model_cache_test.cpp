@@ -86,6 +86,43 @@ TEST(VersionedModelCache, NearestAncestorFetchesOnlyMissingLinks) {
   EXPECT_EQ(fx.metrics.broadcast_base_bytes.load(), base_bytes);  // no re-base fetch
 }
 
+TEST(VersionedModelCache, ThousandsOfCachedVersionsStillAnchorOnNearestAncestor) {
+  // dim 64: a base is 512 B and a one-coordinate delta 20 B. Scheduled
+  // bases every 64 versions give a walk that misses the anchor a cheaper
+  // stop (base 4096 + two deltas) than a full ride to base 0.
+  StoreConfig config;
+  config.base_interval = 64;
+  CacheFixture fx(config);
+  constexpr engine::Version kCached = 4096;
+  (void)publish_chain(fx.store, 64, kCached + 3);
+  VersionedModelCache& crowded = fx.worker_cache();
+  for (engine::Version v = 0; v < kCached; ++v) (void)crowded.value_at(v);
+  ASSERT_EQ(crowded.size(), kCached);
+
+  // Reference: a second worker whose cache holds only the ancestor (plus
+  // the scheduled base its first resolve anchored on).
+  engine::ClusterMetrics lone_metrics(1);
+  engine::BroadcastCache lone_bcache(&fx.broadcasts, &fx.net, &lone_metrics);
+  VersionedModelCache& lone = fx.store.cache_for(1, &lone_bcache, &lone_metrics);
+  (void)lone.value_at(kCached - 1);
+  ASSERT_EQ(lone.size(), 2u);
+
+  const std::uint64_t crowded_before = fx.metrics.broadcast_bytes.load();
+  const std::uint64_t lone_before = lone_metrics.broadcast_bytes.load();
+  const linalg::DenseVector& a = crowded.value_at(kCached + 2);
+  const linalg::DenseVector& b = lone.value_at(kCached + 2);
+  EXPECT_TRUE(linalg::bitwise_equal(a, b));
+
+  // Both anchor on kCached - 1 and fetch exactly the three deltas above it.
+  std::uint64_t expected = 0;
+  for (engine::Version v = kCached; v < kCached + 3; ++v) {
+    expected += fx.store.entry_of(v)->delta_bytes;
+  }
+  EXPECT_EQ(fx.metrics.broadcast_bytes.load() - crowded_before, expected);
+  EXPECT_EQ(lone_metrics.broadcast_bytes.load() - lone_before, expected);
+  EXPECT_EQ(fx.metrics.broadcast_base_bytes.load(), fx.store.entry_of(0)->base_bytes);
+}
+
 TEST(VersionedModelCache, ResolvingBaseVersionAliasesWithoutCopy) {
   CacheFixture fx;
   (void)publish_chain(fx.store, 8, 1);

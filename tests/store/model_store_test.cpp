@@ -62,6 +62,55 @@ TEST(ModelStore, DenseUpdateDensifiesIntoBase) {
   EXPECT_EQ(store.stats().deltas_published, 0u);
 }
 
+TEST(ModelStore, DensifyingPublishKeepsEntryAndStatsShape) {
+  engine::BroadcastStore broadcasts;
+  ModelStore store(&broadcasts);
+  // dim 31: the default cutoff is 2/3 * 31 = 20.67 changed coordinates.
+  linalg::DenseVector w = make_model(31, 1.0);
+  store.publish(w, 0);
+  w[0] = 2.0;
+  store.publish(w, 1);
+  for (std::size_t i = 0; i < 20; ++i) w[i] += 1.0;  // at the cutoff: sparse
+  store.publish(w, 2);
+  for (std::size_t i = 0; i < 21; ++i) w[i] += 1.0;  // past it: densifies
+  store.publish(w, 3);
+  w[5] = -1.0;
+  store.publish(w, 4);
+
+  const auto at_cutoff = store.entry_of(2);
+  ASSERT_TRUE(at_cutoff.has_value());
+  EXPECT_EQ(at_cutoff->kind, EntryKind::kDelta);
+  EXPECT_EQ(at_cutoff->parent, 1u);
+  EXPECT_EQ(at_cutoff->delta_bytes, 8u + 20u * 12u);
+  EXPECT_EQ(at_cutoff->base_bytes, 0u);
+
+  // A densified entry is a plain base that still names its would-be parent
+  // (the disk manifest records it).
+  const auto densified = store.entry_of(3);
+  ASSERT_TRUE(densified.has_value());
+  EXPECT_EQ(densified->kind, EntryKind::kBase);
+  EXPECT_EQ(densified->parent, 2u);
+  EXPECT_EQ(densified->base_bytes, 31u * sizeof(double));
+  EXPECT_EQ(densified->delta_bytes, 0u);
+  EXPECT_EQ(densified->delta_id, 0u);
+  EXPECT_FALSE(densified->has_delta());
+
+  // The chain restarts on the densified base.
+  const auto after = store.entry_of(4);
+  ASSERT_TRUE(after.has_value());
+  EXPECT_EQ(after->kind, EntryKind::kDelta);
+  EXPECT_EQ(after->parent, 3u);
+  EXPECT_EQ(after->delta_bytes, 8u + 12u);
+
+  const StoreStats stats = store.stats();
+  EXPECT_EQ(stats.bases_published, 2u);
+  EXPECT_EQ(stats.deltas_published, 3u);
+  EXPECT_EQ(stats.base_bytes_published, 2u * 31u * sizeof(double));
+  EXPECT_EQ(stats.delta_bytes_published, 20u + (8u + 20u * 12u) + 20u);
+  EXPECT_EQ(stats.compactions, 0u);
+  EXPECT_TRUE(linalg::bitwise_equal(store.driver_cache().value_at(4), w));
+}
+
 TEST(ModelStore, BaseIntervalBoundsChainLength) {
   engine::BroadcastStore broadcasts;
   StoreConfig config;
