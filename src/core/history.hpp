@@ -146,10 +146,13 @@ inline constexpr engine::Version kNeverVisited = ~engine::Version{0};
 /// Concurrency contract: entry i is only *written* by the task currently
 /// processing the partition that owns sample i (the scheduler never runs two
 /// tasks of one partition concurrently; cross-worker visibility after a
-/// retry is established by the result-queue handoff).  Entries are relaxed
-/// atomics because the driver's history GC scans min_version() concurrently
-/// with task updates; entries only ever increase, so a concurrent scan can
-/// only under-estimate the minimum — which keeps the GC bound conservative.
+/// retry is established by the result-queue handoff).  Entries are atomics
+/// because the driver's history GC scans min_version() concurrently with
+/// task updates; entries only ever increase, so a concurrent scan can only
+/// under-estimate the minimum — which keeps the GC bound conservative.  A
+/// task writes its entries after its historical reads, so set() releases
+/// and min_version() acquires: a scan that sees a raised entry (and may then
+/// free the old version) is ordered after the reads of that version.
 class SampleVersionTable {
  public:
   explicit SampleVersionTable(std::size_t n, engine::Version init = 0)
@@ -161,7 +164,7 @@ class SampleVersionTable {
     return versions_.at(i).load(std::memory_order_relaxed);
   }
   void set(std::size_t i, engine::Version v) {
-    versions_.at(i).store(v, std::memory_order_relaxed);
+    versions_.at(i).store(v, std::memory_order_release);
   }
   [[nodiscard]] std::size_t size() const noexcept { return versions_.size(); }
 

@@ -1,11 +1,7 @@
 #include "optim/admm.hpp"
 
-#include "core/async_context.hpp"
 #include "linalg/blas.hpp"
-#include "metrics/trace.hpp"
-#include "optim/objective.hpp"
-#include "optim/solver_util.hpp"
-#include "support/stopwatch.hpp"
+#include "optim/solver_run.hpp"
 
 namespace asyncml::optim {
 
@@ -27,12 +23,11 @@ struct AdmmLocalState {
 
 RunResult AsyncAdmmSolver::run(engine::Cluster& cluster, const Workload& workload,
                                const AdmmConfig& config) {
+  detail::RunScope<AdmmConfig> run(cluster, workload, config);
+  linalg::DenseVector& z = run.w;
   const std::size_t dim = workload.dim();
   const int partitions = workload.num_partitions();
-  const double service_ms =
-      config.service_floor_ms > 0.0
-          ? config.service_floor_ms
-          : config.cost.task_service_ms(*workload.dataset, partitions, 1.0);
+  const double service_ms = detail::service_floor(workload, config, 1.0);
 
   // Default local step from the ρ-regularized subproblem's smoothness:
   // L_local ≈ 2·E‖x‖² (mean-normalized partition loss) + ρ.
@@ -46,9 +41,6 @@ RunResult AsyncAdmmSolver::run(engine::Cluster& cluster, const Workload& workloa
                                 ? config.local_step
                                 : 1.0 / (2.0 * mean_norm_sq + config.rho);
 
-  detail::reset_run_metrics(cluster.metrics());
-  detail::begin_telemetry(cluster, config);
-
   core::AsyncContext ac(cluster, partitions);
   auto state = std::make_shared<AdmmLocalState>(partitions, dim);
 
@@ -56,7 +48,6 @@ RunResult AsyncAdmmSolver::run(engine::Cluster& cluster, const Workload& workloa
   opts.service_floor_ms = service_ms;
   opts.rng_seed = config.seed;
 
-  linalg::DenseVector z(dim);
   linalg::DenseVector share_sum(dim);  // Σ_p (x_p + u_p), updated incrementally
   std::vector<linalg::DenseVector> last_share(
       static_cast<std::size_t>(partitions), linalg::DenseVector(dim));
@@ -115,10 +106,7 @@ RunResult AsyncAdmmSolver::run(engine::Cluster& cluster, const Workload& workloa
 
   core::AsyncScheduler::TaskFactory factory = make_factory(z_br);
 
-  metrics::TraceRecorder recorder(config.eval_every);
-  recorder.reserve_for(config.updates);
-  support::Stopwatch watch;
-  recorder.snapshot(0, 0.0, z);
+  run.start();
 
   detail::dispatch_live(ac, config.barrier, factory);
 
@@ -140,24 +128,11 @@ RunResult AsyncAdmmSolver::run(engine::Cluster& cluster, const Workload& workloa
     ac.advance_version();
     z_br = ac.async_broadcast(z);
     factory = make_factory(z_br);
-    recorder.maybe_snapshot(updates, watch.elapsed_ms(), z);
+    run.snapshot(updates);
 
     detail::dispatch_live(ac, config.barrier, factory);
   }
-  recorder.snapshot(updates, watch.elapsed_ms(), z);
-
-  RunResult result;
-  result.algorithm = "AsyncADMM";
-  result.wall_ms = watch.elapsed_ms();
-  result.updates = updates;
-  result.tasks = updates;
-  result.final_w = z;
-  detail::fill_run_stats(result, cluster.metrics());
-  detail::finish_telemetry(result, cluster, config);
-  result.trace = recorder.finalize([&](const linalg::DenseVector& model) {
-    return full_objective(*workload.dataset, *workload.loss, model);
-  });
-  return result;
+  return run.finish("AsyncADMM", updates, updates);
 }
 
 }  // namespace asyncml::optim

@@ -1,72 +1,38 @@
 #include "optim/asgd.hpp"
 
-#include "metrics/trace.hpp"
-#include "optim/objective.hpp"
-#include "optim/solver_util.hpp"
-#include "support/stopwatch.hpp"
+#include "optim/solver_run.hpp"
 
 namespace asyncml::optim {
 
 RunResult AsgdSolver::run(engine::Cluster& cluster, const Workload& workload,
                           const SolverConfig& config) {
-  const std::size_t dim = workload.dim();
-  const double service_ms =
-      config.service_floor_ms > 0.0
-          ? config.service_floor_ms
-          : config.cost.task_service_ms(*workload.dataset, workload.num_partitions(),
-                                        config.batch_fraction);
+  // AC = new ASYNCcontext; models publish through the delta-versioned store.
+  detail::AsyncRun run(cluster, workload, config, detail::TaskKind::kGradient);
+  core::AsyncContext& ac = run.ac;
+  linalg::DenseVector& w = run.w;
   // Listing 1 applies alpha/(1+staleness) directly, so the staleness factor
   // replaces the 1/P heuristic rather than stacking on top of it.
   const double default_scale = config.staleness_adaptive_lr
                                    ? 1.0
                                    : 1.0 / static_cast<double>(cluster.num_workers());
   const double step_scale = config.async_step_scale.value_or(default_scale);
-  const linalg::GradVectorConfig grad_cfg = detail::grad_config(workload, config);
-  // Per-partition shard-support sets (sparse workloads on a sharded plane).
-  const auto support_table = detail::shard_support_table(workload, config);
 
-  detail::reset_run_metrics(cluster.metrics());
-  detail::begin_telemetry(cluster, config);
-
-  // AC = new ASYNCcontext; models publish through the delta-versioned store.
-  core::AsyncContext ac(cluster, workload.num_partitions(), config.store_config);
-  ac.scheduler().set_policy(detail::scheduler_policy(workload, config));
-
-  core::SubmitOptions opts;
-  opts.service_floor_ms = service_ms;
-  opts.rng_seed = config.seed;
-
-  linalg::DenseVector w(dim);
-  std::uint64_t updates0 = 0;
-  if (auto cp = detail::maybe_resume(config); cp.has_value()) {
-    // Trajectory-equivalent resume: the restored model republishes at the
-    // restored version and the update count continues, but arrival order —
-    // and therefore the exact float trajectory — is scheduling-dependent,
-    // exactly as between two uninterrupted async runs.
-    w = std::move(cp->model);
-    updates0 = cp->update_index;
-    ac.restore(cp->model_version, cp->round);
-  }
   core::HistoryBroadcast w_br = ac.async_broadcast(w);  // publish at the current version
 
   // Factory building this round's gradient tasks against the latest w_br.
   auto rebuild_factory = [&] {
     return ac.make_fn_factory(
-        detail::grad_task_fn(workload, config, w_br, grad_cfg, config.batch_fraction,
-                             support_table),
-        opts);
+        detail::grad_task_fn(workload, config, w_br, run.grad_cfg, config.batch_fraction,
+                             run.shard_support),
+        run.opts);
   };
   core::AsyncScheduler::TaskFactory factory = rebuild_factory();
 
-  metrics::TraceRecorder recorder(config.eval_every);
-  recorder.reserve_for(config.updates);
-  support::Stopwatch watch;
-  recorder.snapshot(updates0, 0.0, w);
-
+  run.start();
   // Prime every worker the barrier admits (all of them, initially).
   detail::dispatch_live(ac, config.barrier, factory);
 
-  std::uint64_t updates = updates0;
+  std::uint64_t updates = run.resumed_at;
   while (updates < config.updates) {
     auto collected = ac.collect(&factory);  // while(AC.hasNext()) { ASYNCcollect() }
     if (!collected.has_value()) break;      // context stopped
@@ -89,27 +55,13 @@ RunResult AsgdSolver::run(engine::Cluster& cluster, const Workload& workload,
     ac.advance_version();
     w_br = ac.async_broadcast(w);
     factory = rebuild_factory();
-    recorder.maybe_snapshot(updates, watch.elapsed_ms(), w);
-    detail::maybe_gc_history(ac, config, updates);
-    detail::maybe_checkpoint(config, ac, w, updates);
+    run.end_update(updates);
 
     // points.ASYNCbarrier(f, AC.STAT) ... — admit whatever the barrier allows.
     detail::dispatch_live(ac, config.barrier, factory);
   }
-  recorder.snapshot(updates, watch.elapsed_ms(), w);
-
-  RunResult result;
-  result.algorithm = config.staleness_adaptive_lr ? "ASGD-staleness" : "ASGD";
-  result.wall_ms = watch.elapsed_ms();
-  result.updates = updates;
-  result.tasks = updates;
-  result.final_w = w;
-  detail::fill_run_stats(result, cluster.metrics());
-  detail::finish_telemetry(result, cluster, config);
-  result.trace = recorder.finalize([&](const linalg::DenseVector& model) {
-    return full_objective(*workload.dataset, *workload.loss, model);
-  });
-  return result;
+  return run.finish(config.staleness_adaptive_lr ? "ASGD-staleness" : "ASGD", updates,
+                    updates);
 }
 
 }  // namespace asyncml::optim

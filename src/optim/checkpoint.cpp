@@ -21,7 +21,6 @@ using support::StatusOr;
 
 namespace {
 
-constexpr char kMagicV1[8] = {'A', 'M', 'L', 'C', 'K', 'P', 'T', '1'};
 constexpr char kMagicV2[8] = {'A', 'M', 'L', 'C', 'K', 'P', 'T', '2'};
 constexpr char kMagicV3[8] = {'A', 'M', 'L', 'C', 'K', 'P', 'T', '3'};
 
@@ -53,7 +52,7 @@ void write_vector(std::ostream& out, const std::string& name,
 
 /// Bytes left between the stream position and end-of-file; the loader
 /// validates every claimed length against this so a corrupted header can
-/// never drive a multi-gigabyte allocation (the v1 loader crashed with
+/// never drive a multi-gigabyte allocation (an earlier loader crashed with
 /// bad_alloc on exactly that input).
 std::uint64_t bytes_remaining(std::istream& in) {
   const auto pos = in.tellg();
@@ -264,32 +263,27 @@ StatusOr<SolverCheckpoint> load_checkpoint(const std::string& path) {
   if (std::memcmp(magic, kMagicV3, sizeof(kMagicV3)) == 0) {
     return load_checkpoint_v3(in);
   }
-  const bool v2 = std::memcmp(magic, kMagicV2, sizeof(kMagicV2)) == 0;
-  if (!v2 && std::memcmp(magic, kMagicV1, sizeof(kMagicV1)) != 0) {
+  if (std::memcmp(magic, kMagicV2, sizeof(kMagicV2)) != 0) {
     return Status(StatusCode::kInvalidArgument, "checkpoint: bad magic");
   }
 
   SolverCheckpoint checkpoint;
-  if (!read_u64(in, checkpoint.update_index)) {
+  if (!read_u64(in, checkpoint.update_index) || !read_u64(in, checkpoint.model_version) ||
+      !read_u64(in, checkpoint.round)) {
     return Status(StatusCode::kInvalidArgument, "checkpoint: truncated header");
   }
-  if (v2) {
-    if (!read_u64(in, checkpoint.model_version) || !read_u64(in, checkpoint.round)) {
-      return Status(StatusCode::kInvalidArgument, "checkpoint: truncated header");
+  std::uint32_t counters = 0;
+  if (!read_u32(in, counters) || counters > 10'000) {
+    return Status(StatusCode::kInvalidArgument, "checkpoint: bad counter count");
+  }
+  for (std::uint32_t i = 0; i < counters; ++i) {
+    auto name = read_name(in);
+    if (!name.is_ok()) return name.status();
+    std::uint64_t value = 0;
+    if (!read_u64(in, value)) {
+      return Status(StatusCode::kInvalidArgument, "checkpoint: truncated counter");
     }
-    std::uint32_t counters = 0;
-    if (!read_u32(in, counters) || counters > 10'000) {
-      return Status(StatusCode::kInvalidArgument, "checkpoint: bad counter count");
-    }
-    for (std::uint32_t i = 0; i < counters; ++i) {
-      auto name = read_name(in);
-      if (!name.is_ok()) return name.status();
-      std::uint64_t value = 0;
-      if (!read_u64(in, value)) {
-        return Status(StatusCode::kInvalidArgument, "checkpoint: truncated counter");
-      }
-      checkpoint.counters.emplace(std::move(name).value(), value);
-    }
+    checkpoint.counters.emplace(std::move(name).value(), value);
   }
   const Status vectors = read_vectors(in, checkpoint);
   if (!vectors.is_ok()) return vectors;

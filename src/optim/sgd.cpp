@@ -3,10 +3,7 @@
 #include <algorithm>
 
 #include "engine/actions.hpp"
-#include "metrics/trace.hpp"
-#include "optim/objective.hpp"
-#include "optim/solver_util.hpp"
-#include "support/stopwatch.hpp"
+#include "optim/solver_run.hpp"
 
 namespace asyncml::optim {
 
@@ -15,25 +12,13 @@ namespace detail {
 RunResult run_sync_sgd(engine::Cluster& cluster, const Workload& workload,
                        const SolverConfig& config, bool tree,
                        const char* algorithm_name) {
-  const std::size_t dim = workload.dim();
-  const double service_ms =
-      config.service_floor_ms > 0.0
-          ? config.service_floor_ms
-          : config.cost.task_service_ms(*workload.dataset, workload.num_partitions(),
-                                        config.batch_fraction);
-
+  RunScope<SolverConfig> run(cluster, workload, config);
+  linalg::DenseVector& w = run.w;
+  const double service_ms = service_floor(workload, config, config.batch_fraction);
   const linalg::GradVectorConfig grad_cfg = grad_config(workload, config);
-
-  reset_run_metrics(cluster.metrics());
-  begin_telemetry(cluster, config);
-
-  linalg::DenseVector w(dim);
   auto comb = grad_comb();
 
-  metrics::TraceRecorder recorder(config.eval_every);
-  recorder.reserve_for(config.updates);
-  support::Stopwatch watch;
-  recorder.snapshot(0, 0.0, w);
+  run.start();
 
   engine::BroadcastId previous_id = 0;
   std::vector<engine::BroadcastId> dead_ids;  // erased from worker caches below
@@ -62,7 +47,7 @@ RunResult run_sync_sgd(engine::Cluster& cluster, const Workload& workload,
       total.grad.scale_into(-config.step(k) / static_cast<double>(total.count),
                             w.span());
     }
-    recorder.maybe_snapshot(k + 1, watch.elapsed_ms(), w);
+    run.snapshot(k + 1);
 
     // The previous iteration's broadcast is dead: drop it from the store so
     // memory stays bounded over long runs (Spark unpersists similarly), and
@@ -82,20 +67,7 @@ RunResult run_sync_sgd(engine::Cluster& cluster, const Workload& workload,
       dead_ids.clear();
     }
   }
-  recorder.snapshot(config.updates, watch.elapsed_ms(), w);
-
-  RunResult result;
-  result.algorithm = algorithm_name;
-  result.wall_ms = watch.elapsed_ms();
-  result.updates = config.updates;
-  result.tasks = cluster.metrics().tasks_completed.load();
-  result.final_w = w;
-  fill_run_stats(result, cluster.metrics());
-  finish_telemetry(result, cluster, config);
-  result.trace = recorder.finalize([&](const linalg::DenseVector& model) {
-    return full_objective(*workload.dataset, *workload.loss, model);
-  });
-  return result;
+  return run.finish(algorithm_name, config.updates, run.tasks_completed());
 }
 
 }  // namespace detail
@@ -107,52 +79,22 @@ RunResult SgdSolver::run(engine::Cluster& cluster, const Workload& workload,
 
 RunResult ScheduledSgdSolver::run(engine::Cluster& cluster, const Workload& workload,
                                   const SolverConfig& config) {
-  const std::size_t dim = workload.dim();
-  const double service_ms =
-      config.service_floor_ms > 0.0
-          ? config.service_floor_ms
-          : config.cost.task_service_ms(*workload.dataset, workload.num_partitions(),
-                                        config.batch_fraction);
-  const linalg::GradVectorConfig grad_cfg = detail::grad_config(workload, config);
-  // Per-partition shard-support sets (sparse workloads on a sharded plane):
-  // workers fetch only the shards their partition's support touches.
-  const auto support_table = detail::shard_support_table(workload, config);
-
-  detail::reset_run_metrics(cluster.metrics());
-  detail::begin_telemetry(cluster, config);
-
-  core::AsyncContext ac(cluster, workload.num_partitions(), config.store_config);
-  ac.scheduler().set_policy(detail::scheduler_policy(workload, config));
+  detail::AsyncRun run(cluster, workload, config, detail::TaskKind::kGradient);
+  core::AsyncContext& ac = run.ac;
+  linalg::DenseVector& w = run.w;
   auto comb = detail::grad_comb();
 
-  core::SubmitOptions opts;
-  opts.service_floor_ms = service_ms;
-  opts.rng_seed = config.seed;
-
-  linalg::DenseVector w(dim);
-  std::uint64_t k0 = 0;
-  if (auto cp = detail::maybe_resume(config); cp.has_value()) {
-    // Bit-exact resume: the restored model plus the restored version and
-    // dispatch-round streams make updates k0, k0+1, … identical to the
-    // uninterrupted run's (tests/faults/checkpoint_restore_test.cpp pins it).
-    w = std::move(cp->model);
-    k0 = cp->update_index;
-    ac.restore(cp->model_version, cp->round);
-  }
-  metrics::TraceRecorder recorder(config.eval_every);
-  recorder.reserve_for(config.updates);
-  support::Stopwatch watch;
-  recorder.snapshot(k0, 0.0, w);
+  run.start();
 
   std::uint64_t tasks = 0;
-  for (std::uint64_t k = k0; k < config.updates; ++k) {
+  for (std::uint64_t k = run.resumed_at; k < config.updates; ++k) {
     // Publish w at the round's version; workers ride the delta chain.
     core::HistoryBroadcast w_br = ac.async_broadcast(w);
 
     std::vector<core::TaggedResult> results = ac.sync_round_fn(
-        detail::grad_task_fn(workload, config, w_br, grad_cfg, config.batch_fraction,
-                             support_table),
-        opts);
+        detail::grad_task_fn(workload, config, w_br, run.grad_cfg, config.batch_fraction,
+                             run.shard_support),
+        run.opts);
     tasks += results.size();
 
     // Combine in partition order, not arrival order: together with the
@@ -163,7 +105,7 @@ RunResult ScheduledSgdSolver::run(engine::Cluster& cluster, const Workload& work
               [](const core::TaggedResult& a, const core::TaggedResult& b) {
                 return a.result.partition < b.result.partition;
               });
-    GradCount total{linalg::GradVector(grad_cfg)};
+    GradCount total{linalg::GradVector(run.grad_cfg)};
     if (config.combine_mode == core::CombineMode::kTree) {
       // Tree aggregation through the live context (core/shard_route.hpp):
       // partition-ordered partials reduce as log-depth combine tasks — per
@@ -183,7 +125,7 @@ RunResult ScheduledSgdSolver::run(engine::Cluster& cluster, const Workload& work
       tree.model_version = ac.current_version();
       tree.rng_seed = config.seed;
       total.grad = core::tree_combine_async(
-          ac, std::move(parts), ac.history().sharded_store().shard_map(), grad_cfg,
+          ac, std::move(parts), ac.history().sharded_store().shard_map(), run.grad_cfg,
           tree);
     } else {
       for (core::TaggedResult& r : results) {
@@ -195,24 +137,9 @@ RunResult ScheduledSgdSolver::run(engine::Cluster& cluster, const Workload& work
                             w.span());
     }
     ac.advance_version();
-    recorder.maybe_snapshot(k + 1, watch.elapsed_ms(), w);
-    detail::maybe_gc_history(ac, config, k + 1);
-    detail::maybe_checkpoint(config, ac, w, k + 1);
+    run.end_update(k + 1);
   }
-  recorder.snapshot(config.updates, watch.elapsed_ms(), w);
-
-  RunResult result;
-  result.algorithm = "SGD-sched";
-  result.wall_ms = watch.elapsed_ms();
-  result.updates = config.updates;
-  result.tasks = tasks;
-  result.final_w = w;
-  detail::fill_run_stats(result, cluster.metrics());
-  detail::finish_telemetry(result, cluster, config);
-  result.trace = recorder.finalize([&](const linalg::DenseVector& model) {
-    return full_objective(*workload.dataset, *workload.loss, model);
-  });
-  return result;
+  return run.finish("SGD-sched", config.updates, tasks);
 }
 
 }  // namespace asyncml::optim

@@ -69,25 +69,27 @@ struct SolverConfig {
   /// crashed holder) — its registration is written off and a fresh replica
   /// dispatched. <= 0 (default) disables. Only safe for solvers whose task
   /// bodies are re-entrant (plain gradient sums; NOT SAGA's version-table
-  /// tasks); 6.0 is a sane horizon for chaos runs.
+  /// tasks, which force it off); 6.0 is a sane horizon for chaos runs.
   double lost_task_factor = 0.0;
 
   // -- checkpoint / restore (optim/checkpoint.hpp, docs/FAULTS.md) -----------
 
   /// Snapshot the solver state (model, version, round, STAT totals, solver
   /// aux vectors) to `checkpoint_path` every `checkpoint_every` model
-  /// updates. 0 (default) = never. Read by the checkpoint-aware solvers
-  /// (ScheduledSgd, Asgd, Saga).
+  /// updates. 0 (default) = never. Read by every solver on the AsyncContext
+  /// (ScheduledSgd, Asgd, Saga, Asaga, EpochVr).
   std::uint64_t checkpoint_every = 0;
 
   /// Snapshot destination; each snapshot overwrites the previous one.
   /// Required when checkpoint_every > 0.
   std::string checkpoint_path;
 
-  /// Resume from this checkpoint before the first update: synchronous
-  /// solvers continue bit-exactly (same trajectory as the uninterrupted
-  /// run), asynchronous ones trajectory-equivalently. Empty = fresh start.
-  /// A malformed file aborts loudly rather than silently restarting.
+  /// Resume from this checkpoint before the first update (the same five
+  /// solvers): ScheduledSgd continues bit-exactly (same trajectory as the
+  /// uninterrupted run), Asgd trajectory-equivalently; Saga, Asaga and
+  /// EpochVr warm-start at the checkpointed model with their other state
+  /// cold (docs/FAULTS.md). Empty = fresh start. A missing or malformed
+  /// file aborts loudly rather than silently restarting.
   std::string resume_from;
 
   /// Snapshot the model every `eval_every` updates for the trace.

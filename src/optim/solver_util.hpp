@@ -194,18 +194,21 @@ inline void finish_telemetry(RunResult& r, engine::Cluster& cluster,
   return std::move(loaded).value();
 }
 
-/// Snapshots the solver state to config.checkpoint_path on the
-/// checkpoint_every cadence. `update_index` counts *completed* model updates
-/// (call with k+1 after the k-th update has been applied and the version
-/// advanced, so a restore at index k resumes with update k+1). `aux` carries
-/// solver-specific vectors (SAGA's "alpha_bar").
-inline void maybe_checkpoint(const SolverConfig& config, core::AsyncContext& ac,
+/// Solver-specific checkpoint vectors (SAGA's "alpha_bar").
+using CheckpointAux = std::map<std::string, linalg::DenseVector>;
+
+/// The GC floor and the checkpoint aux of a solver that has neither.
+struct NoFloor {
+  std::optional<engine::Version> operator()() const { return std::nullopt; }
+};
+struct NoAux {
+  CheckpointAux operator()() const { return {}; }
+};
+
+/// Writes the solver state at `update_index` to config.checkpoint_path.
+inline void write_checkpoint(const SolverConfig& config, core::AsyncContext& ac,
                              const linalg::DenseVector& w, std::uint64_t update_index,
-                             std::map<std::string, linalg::DenseVector> aux = {}) {
-  if (config.checkpoint_every == 0 || update_index == 0 ||
-      update_index % config.checkpoint_every != 0) {
-    return;
-  }
+                             CheckpointAux aux) {
   SolverCheckpoint cp;
   cp.update_index = update_index;
   cp.model_version = ac.current_version();
@@ -274,6 +277,24 @@ inline void maybe_checkpoint(const SolverConfig& config, core::AsyncContext& ac,
   }
 }
 
+/// Snapshots the solver state to config.checkpoint_path on the
+/// checkpoint_every cadence. `update_index` counts *completed* model updates
+/// (call with k+1 after the k-th update has been applied and the version
+/// advanced, so a restore at index k resumes with update k+1). `aux` is a
+/// callable returning the solver's CheckpointAux; it runs only when a
+/// checkpoint is due, so its O(dim) copies are not paid on every update.
+template <typename AuxFn = NoAux>
+  requires std::invocable<AuxFn&>
+void maybe_checkpoint(const SolverConfig& config, core::AsyncContext& ac,
+                      const linalg::DenseVector& w, std::uint64_t update_index,
+                      AuxFn&& aux = {}) {
+  if (config.checkpoint_every == 0 || update_index == 0 ||
+      update_index % config.checkpoint_every != 0) {
+    return;
+  }
+  write_checkpoint(config, ac, w, update_index, aux());
+}
+
 /// STAT-keyed history GC on the configured cadence: every `gc_every` updates,
 /// delta chains below the minimum in-flight version (further floored by
 /// `extra_floor` — the SampleVersionTable minimum for history-reading
@@ -283,17 +304,12 @@ inline void maybe_checkpoint(const SolverConfig& config, core::AsyncContext& ac,
 /// `extra_floor` is a callable returning the floor (std::optional or a plain
 /// version): it is evaluated only when GC is due, so an O(n) table scan runs
 /// once per `gc_every` updates, not once per update.
-template <typename FloorFn>
+template <typename FloorFn = NoFloor>
   requires std::invocable<FloorFn&>
 void maybe_gc_history(core::AsyncContext& ac, const SolverConfig& config,
-                      std::uint64_t updates, FloorFn&& extra_floor) {
+                      std::uint64_t updates, FloorFn&& extra_floor = {}) {
   if (config.gc_every == 0 || updates == 0 || updates % config.gc_every != 0) return;
   ac.gc_history(std::optional<engine::Version>(extra_floor()));
-}
-
-inline void maybe_gc_history(core::AsyncContext& ac, const SolverConfig& config,
-                             std::uint64_t updates) {
-  maybe_gc_history(ac, config, updates, [] { return std::optional<engine::Version>(); });
 }
 
 /// Dispatch with a liveness guarantee: if the barrier admits nobody AND the

@@ -11,8 +11,10 @@
 
 #include "data/synthetic.hpp"
 #include "linalg/blas.hpp"
+#include "optim/asaga.hpp"
 #include "optim/asgd.hpp"
 #include "optim/checkpoint.hpp"
+#include "optim/epoch_vr.hpp"
 #include "optim/objective.hpp"
 #include "optim/saga.hpp"
 #include "optim/sgd.hpp"
@@ -156,6 +158,57 @@ TEST(CheckpointRestore, SagaResumeWarmStartsTheModel) {
   std::remove(path.c_str());
 }
 
+using Solver = RunResult (*)(engine::Cluster&, const Workload&, const SolverConfig&);
+
+/// Kill at update `k` (leg 1 checkpoints there), resume in a fresh cluster and
+/// finish a 2k budget. Solvers whose state beyond the model restarts cold
+/// (ASAGA's ᾱ and version table, EpochVR's epoch) warm-start from the leg-1
+/// iterate, so the resumed run must not end worse than leg 1 did.
+void expect_warm_start_resume(Solver solver, SolverConfig config, std::uint64_t k,
+                              const std::string& path, const char* aux = nullptr) {
+  const Workload workload = tiny_workload(7);
+  config.checkpoint_every = k;
+  config.checkpoint_path = path;
+  config.updates = k;
+  engine::Cluster c1(quiet_config(2));
+  const RunResult first = solver(c1, workload, config);
+
+  auto loaded = load_checkpoint(path);
+  ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
+  EXPECT_EQ(loaded.value().update_index, k);
+  if (aux != nullptr) {
+    ASSERT_TRUE(loaded.value().aux.contains(aux));
+    EXPECT_EQ(loaded.value().aux.at(aux).size(), workload.dim());
+  }
+
+  config.checkpoint_every = 0;
+  config.resume_from = path;
+  config.updates = 2 * k;
+  engine::Cluster c2(quiet_config(2));
+  const RunResult resumed = solver(c2, workload, config);
+
+  ASSERT_FALSE(resumed.trace.empty());
+  EXPECT_EQ(resumed.trace.front().update, k);
+  EXPECT_GE(resumed.updates, 2 * k);
+  EXPECT_LE(resumed.final_error(), first.final_error() + 1e-9);
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointRestore, AsagaResumeWarmStartsTheModel) {
+  SolverConfig config = base_config(0);
+  config.step = constant_step(0.05);
+  expect_warm_start_resume(&AsagaSolver::run, config, 40,
+                           temp_path("asaga_restore.ckpt"), "alpha_bar");
+}
+
+TEST(CheckpointRestore, EpochVrResumeWarmStartsTheModel) {
+  SolverConfig config = base_config(0);
+  config.step = constant_step(0.05);
+  config.epoch_inner_updates = 20;
+  expect_warm_start_resume(&EpochVrSolver::run, config, 40,
+                           temp_path("epoch_vr_restore.ckpt"));
+}
+
 using CheckpointRestoreDeathTest = ::testing::Test;
 
 TEST(CheckpointRestoreDeathTest, MalformedResumeFileAbortsLoudly) {
@@ -182,12 +235,17 @@ TEST(CheckpointRestoreDeathTest, MissingResumeFileAbortsLoudly) {
   const Workload workload = tiny_workload(6);
   SolverConfig config = base_config(5);
   config.resume_from = temp_path("does_not_exist.ckpt");
-  EXPECT_DEATH(
-      {
-        engine::Cluster cluster(quiet_config(1));
-        (void)ScheduledSgdSolver::run(cluster, workload, config);
-      },
-      "cannot resume");
+  // Every AsyncContext solver resumes through the same path; none may start
+  // silently from update 0.
+  for (const Solver solver : {&ScheduledSgdSolver::run, &AsgdSolver::run, &SagaSolver::run,
+                              &AsagaSolver::run, &EpochVrSolver::run}) {
+    EXPECT_DEATH(
+        {
+          engine::Cluster cluster(quiet_config(1));
+          (void)solver(cluster, workload, config);
+        },
+        "cannot resume");
+  }
 }
 
 }  // namespace

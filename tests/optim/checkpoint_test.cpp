@@ -6,6 +6,10 @@
 #include <filesystem>
 #include <fstream>
 
+#include "core/async_context.hpp"
+#include "engine/cluster.hpp"
+#include "optim/solver_util.hpp"
+
 namespace asyncml::optim {
 namespace {
 
@@ -58,17 +62,6 @@ TEST(Checkpoint, MissingFileIsNotFound) {
   EXPECT_EQ(loaded.status().code(), support::StatusCode::kNotFound);
 }
 
-TEST(Checkpoint, BadMagicRejected) {
-  const std::string path = temp_path("asyncml_ckpt_garbage.bin");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "not a checkpoint at all";
-  }
-  const auto loaded = load_checkpoint(path);
-  ASSERT_FALSE(loaded.is_ok());
-  EXPECT_EQ(loaded.status().code(), support::StatusCode::kInvalidArgument);
-  std::filesystem::remove(path);
-}
 
 TEST(Checkpoint, TruncatedFileRejected) {
   SolverCheckpoint cp;
@@ -126,25 +119,30 @@ void v2_header(std::ofstream& out) {
 
 }  // namespace raw
 
-TEST(Checkpoint, V1FileStillLoads) {
-  const std::string path = temp_path("asyncml_ckpt_v1.bin");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out.write("AMLCKPT1", 8);
-    raw::u64(out, 55);  // update index; v1 has no version/round/counters
-    raw::u32(out, 1);
-    raw::name(out, "model");
-    raw::u64(out, 2);
-    const double values[2] = {4.0, 8.0};
-    out.write(reinterpret_cast<const char*>(values), sizeof(values));
+TEST(Checkpoint, BadMagicRejected) {
+  // Garbage, and a well-formed file in the retired v1 format ("AMLCKPT1":
+  // update index + vectors, no version/round/counters).
+  void (*const writers[])(std::ofstream&) = {
+      [](std::ofstream& out) { out << "not a checkpoint at all"; },
+      [](std::ofstream& out) {
+        out.write("AMLCKPT1", 8);
+        raw::u64(out, 55);
+        raw::u32(out, 1);
+        raw::name(out, "model");
+        raw::u64(out, 2);
+        const double values[2] = {4.0, 8.0};
+        out.write(reinterpret_cast<const char*>(values), sizeof(values));
+      }};
+  const std::string path = temp_path("asyncml_ckpt_garbage.bin");
+  for (const auto write : writers) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      write(out);
+    }
+    const auto loaded = load_checkpoint(path);
+    ASSERT_FALSE(loaded.is_ok());
+    EXPECT_EQ(loaded.status().code(), support::StatusCode::kInvalidArgument);
   }
-  const auto loaded = load_checkpoint(path);
-  ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
-  EXPECT_EQ(loaded.value().update_index, 55u);
-  EXPECT_EQ(loaded.value().model_version, 0u);  // v2-only fields come back zero
-  EXPECT_EQ(loaded.value().round, 0u);
-  EXPECT_TRUE(loaded.value().counters.empty());
-  EXPECT_EQ(loaded.value().model, (linalg::DenseVector{4.0, 8.0}));
   std::filesystem::remove(path);
 }
 
@@ -207,6 +205,32 @@ TEST(Checkpoint, MissingModelVectorRejected) {
   ASSERT_FALSE(loaded.is_ok());
   EXPECT_EQ(loaded.status().code(), support::StatusCode::kInvalidArgument);
   std::filesystem::remove(path);
+}
+
+TEST(Checkpoint, AuxIsBuiltOnlyWhenACheckpointIsDue) {
+  engine::Cluster::Config cluster_config;
+  cluster_config.num_workers = 1;
+  cluster_config.network.time_scale = 0.0;
+  engine::Cluster cluster(cluster_config);
+  core::AsyncContext ac(cluster, /*num_partitions=*/1);
+  SolverConfig config;
+  config.checkpoint_every = 4;
+  config.checkpoint_path = temp_path("asyncml_ckpt_lazy_aux.bin");
+  const linalg::DenseVector w{1.0, 2.0};
+
+  int built = 0;
+  for (std::uint64_t update = 1; update <= 12; ++update) {
+    detail::maybe_checkpoint(config, ac, w, update, [&] {
+      ++built;
+      return detail::CheckpointAux{{"alpha_bar", linalg::DenseVector{3.0, 4.0}}};
+    });
+  }
+  EXPECT_EQ(built, 3);  // updates 4, 8 and 12
+  const auto loaded = load_checkpoint(config.checkpoint_path);
+  ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
+  EXPECT_EQ(loaded.value().update_index, 12u);
+  EXPECT_EQ(loaded.value().aux.at("alpha_bar"), (linalg::DenseVector{3.0, 4.0}));
+  std::filesystem::remove(config.checkpoint_path);
 }
 
 TEST(Checkpoint, ResumeReproducesContinuation) {

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include "data/synthetic.hpp"
+#include "optim/asaga.hpp"
 #include "optim/asgd.hpp"
+#include "optim/saga.hpp"
 #include "optim/sgd.hpp"
 #include "straggler/controlled_delay.hpp"
 #include "straggler/production_cluster.hpp"
@@ -174,6 +176,28 @@ TEST(StragglerBehaviour, SpeculativeDuplicatesAreNotDoubleCounted) {
   EXPECT_EQ(spec.tasks, spec.updates * 12);
   EXPECT_EQ(spec.updates, plain.updates);
   EXPECT_TRUE(linalg::bitwise_equal(plain.final_w, spec.final_w));
+}
+
+TEST(StragglerBehaviour, HistoryWritingTasksAreNeverReplicated) {
+  // SAGA-family task bodies rewrite SampleVersionTable entries, so a replica
+  // would re-apply them. With a 4x straggler and a tight lost-task horizon
+  // the rescue path would fire many times; both solvers must keep it (and
+  // speculation) off.
+  const Workload workload = tiny_workload(10);
+  auto delay = std::make_shared<straggler::ControlledDelay>(0, /*intensity=*/3.0);
+  SolverConfig config = timed_config(200, 2.0);
+  config.lost_task_factor = 1.5;
+  config.speculation_factor = 2.0;
+
+  engine::Cluster asaga_cluster(delayed_config(4, delay));
+  const RunResult asaga = AsagaSolver::run(asaga_cluster, workload, config);
+  EXPECT_EQ(asaga.tasks_speculated, 0u);
+  EXPECT_EQ(asaga.duplicates_dropped, 0u);
+
+  engine::Cluster saga_cluster(delayed_config(4, delay));
+  const RunResult saga = SagaSolver::run(saga_cluster, workload, config);
+  EXPECT_EQ(saga.tasks_speculated, 0u);
+  EXPECT_EQ(saga.duplicates_dropped, 0u);
 }
 
 TEST(StragglerBehaviour, NoDelayKeepsFixedPlacementBitIdentical) {
