@@ -1,7 +1,8 @@
 // Microbenchmark — fused batch gradient kernels vs the per-row pipeline.
 //
 // Times one gradient task's body (the solvers' hot path) both ways:
-//   per-row: the RDD sink chain — Bernoulli sample per element, virtual
+//   per-row: the reference oracle (tests/reference/per_row.hpp), the RDD
+//            sink chain — Bernoulli sample per element, virtual
 //            Loss::derivative per row, RowRef dispatch, GradCount moved
 //            through the seq op per row;
 //   fused:   optim/grad_batch.hpp — one sampling pass, batch margins
@@ -11,9 +12,9 @@
 // epsilon/mnist8m-like dense and rcv1-like sparse at their §6.1 fractions,
 // with row-scaled partitions so the per-row pipeline's per-element costs are
 // not understated by toy partitions.  Every timed pair is first
-// cross-checked for bit-identical results, and a 1-worker fig3-style SGD run
-// asserts the full trajectory bit-matches.  Metrics land in
-// bench_results/BENCH_micro.json for tools/bench_diff.py.
+// cross-checked for bit-identical results, and a 1-worker fig3-style
+// SgdSolver run must bit-match the per-row reference SGD loop.  Metrics
+// land in bench_results/BENCH_micro.json for tools/bench_diff.py.
 
 #include <algorithm>
 #include <cstring>
@@ -23,6 +24,7 @@
 #include "harness.hpp"
 #include "optim/grad_batch.hpp"
 #include "optim/solver_util.hpp"
+#include "reference/per_row.hpp"
 
 using namespace asyncml;
 
@@ -72,10 +74,8 @@ CaseResult run_case(const optim::Workload& workload, double fraction, int iters)
   registry->publish(w, /*version=*/0);
   const core::HistoryBroadcast handle(registry, /*pinned=*/0);
 
-  const auto perrow_fn = engine::make_aggregate_fn<data::LabeledPoint, optim::GradCount>(
-      workload.points.sample(fraction),
-      optim::GradCount{linalg::GradVector(grad_cfg)},
-      optim::detail::make_grad_seq(workload.loss, handle, grad_cfg));
+  const auto perrow_fn =
+      optim::reference::grad_task_fn(workload, handle, grad_cfg, fraction);
   const auto fused_fn = optim::detail::make_grad_batch_fn(
       workload.dataset, workload.partitions, workload.loss, handle, grad_cfg,
       fraction);
@@ -139,13 +139,10 @@ CaseResult run_saga_case(const optim::Workload& workload, double fraction, int i
       -> const linalg::DenseVector& { return handle.value_at(v, mask); };
 
   const auto make_perrow = [&](std::shared_ptr<core::SampleVersionTable> table) {
-    // The production per-row SAGA seq op (value_at per visited row). Samples
-    // were last seen at version 0, so history resolves to w_old.
-    return engine::make_aggregate_fn<data::LabeledPoint, optim::GradHist>(
-        workload.points.sample(fraction),
-        optim::GradHist{linalg::GradVector(grad_cfg), linalg::GradVector(grad_cfg)},
-        optim::detail::make_saga_seq(workload.loss, handle, std::move(table),
-                                     grad_cfg));
+    // The per-row SAGA seq op (value_at per visited row). Samples were last
+    // seen at version 0, so history resolves to w_old.
+    return optim::reference::saga_task_fn(workload, handle, std::move(table), grad_cfg,
+                                          fraction);
   };
 
   const int parts = workload.num_partitions();
@@ -221,10 +218,8 @@ CaseResult run_svrg_case(const optim::Workload& workload, double fraction, int i
   const core::HistoryBroadcast snapshot_br(registry, 0);
   const core::HistoryBroadcast w_br(registry, 1);
 
-  const auto perrow_fn = engine::make_aggregate_fn<data::LabeledPoint, optim::GradHist>(
-      workload.points.sample(fraction),
-      optim::GradHist{linalg::GradVector(grad_cfg), linalg::GradVector(grad_cfg)},
-      optim::detail::make_svrg_seq(workload.loss, w_br, snapshot_br, grad_cfg));
+  const auto perrow_fn =
+      optim::reference::svrg_task_fn(workload, w_br, snapshot_br, grad_cfg, fraction);
   const auto fused_fn = optim::detail::make_svrg_batch_fn(
       workload.dataset, workload.partitions, workload.loss, w_br, snapshot_br,
       grad_cfg, fraction);
@@ -261,8 +256,8 @@ CaseResult run_svrg_case(const optim::Workload& workload, double fraction, int i
   return out;
 }
 
-/// fig3-style 1-worker SGD: the full solver trajectory must bit-match
-/// between fused and per-row kernels (the acceptance check).
+/// fig3-style 1-worker SGD: the solver's fused trajectory must bit-match the
+/// per-row reference loop (the acceptance check).
 bool one_worker_trajectory_bitmatch(const optim::Workload& workload, double fraction,
                                     double step) {
   optim::SolverConfig config;
@@ -277,16 +272,14 @@ bool one_worker_trajectory_bitmatch(const optim::Workload& workload, double frac
   cluster_cfg.cores_per_worker = 1;
   cluster_cfg.network.time_scale = 0.0;
 
-  config.fused_kernels = false;
   engine::Cluster perrow_cluster(cluster_cfg);
-  const optim::RunResult perrow =
-      optim::SgdSolver::run(perrow_cluster, workload, config);
+  const linalg::DenseVector perrow =
+      optim::reference::run_sgd(perrow_cluster, workload, config);
 
-  config.fused_kernels = true;
   engine::Cluster fused_cluster(cluster_cfg);
   const optim::RunResult fused =
       optim::SgdSolver::run(fused_cluster, workload, config);
-  return linalg::bitwise_equal(perrow.final_w, fused.final_w);
+  return linalg::bitwise_equal(perrow, fused.final_w);
 }
 
 }  // namespace

@@ -1,11 +1,9 @@
 // Microbenchmark — the sharded model plane's routing/scatter/assembly path.
 //
-// Three costs a sharded plane (docs/SHARDING.md) adds or removes versus the
+// Two costs a sharded plane (docs/SHARDING.md) adds or removes versus the
 // single-store reference, swept over S ∈ {2, 4, 8} at dim 16384:
 //   * route:    ShardMap::shard_of/local_of over a sparse support list — the
 //               per-coordinate routing arithmetic gradient scatter pays;
-//   * scatter:  GradVector::split_ranges + merge_from round-trip along the
-//               range bounds — the tree-aggregation epilogue's reshuffle;
 //   * resolve:  materializing a version from per-shard delta chains, masked
 //               (a one-shard support set, the sparse-workload fast path) vs
 //               the full S-shard assembly, with the modeled wire bytes a warm
@@ -24,7 +22,6 @@
 
 #include "core/shard_map.hpp"
 #include "harness.hpp"
-#include "linalg/grad_vector.hpp"
 #include "store/model_cache.hpp"
 #include "store/model_store.hpp"
 #include "store/sharded_store.hpp"
@@ -70,8 +67,7 @@ std::uint64_t shard_step_bytes(const engine::BroadcastStore& broadcasts,
 }
 
 struct CaseResult {
-  double route_ns = 0.0;        ///< per routed support list (4096 coords)
-  double split_merge_ns = 0.0;  ///< per split+merge round-trip
+  double route_ns = 0.0;  ///< per routed support list (4096 coords)
   double masked_resolve_ns = 0.0;
   double full_resolve_ns = 0.0;
   std::uint64_t masked_step_bytes = 0;
@@ -81,7 +77,7 @@ struct CaseResult {
 
 CaseResult run_case(std::uint32_t num_shards) {
   CaseResult out;
-  const core::ShardMap map(kDim, num_shards, core::ShardScheme::kRange);
+  const core::ShardMap map(kDim, num_shards);
 
   // ---- route: shard_of/local_of over a sparse support list. ---------------
   {
@@ -98,33 +94,6 @@ CaseResult run_case(std::uint32_t num_shards) {
     }
     out.route_ns = watch.elapsed_ms() * 1e6 / iters;
     if (sink == 0) std::cout << "";  // keep the routing observable
-  }
-
-  // ---- scatter: split_ranges + merge_from along the range bounds. ---------
-  {
-    const linalg::GradVectorConfig cfg(kDim, /*densify_threshold=*/1.0,
-                                       /*start_dense=*/false);
-    support::RngStream rng(13);
-    linalg::GradVector g(cfg);
-    std::vector<std::uint32_t> support_coords(kTouchesPerVersion);
-    for (auto& c : support_coords) c = static_cast<std::uint32_t>(rng.next_below(kDim));
-    std::sort(support_coords.begin(), support_coords.end());
-    support_coords.erase(
-        std::unique(support_coords.begin(), support_coords.end()),
-        support_coords.end());
-    for (const std::uint32_t c : support_coords) g.set(c, 0.5 + 0.001 * c);
-
-    const int iters = 5000;
-    support::Stopwatch watch;
-    for (int it = 0; it < iters; ++it) {
-      std::vector<linalg::GradVector> pieces = g.split_ranges(map.range_bounds());
-      linalg::GradVector merged(cfg);
-      for (std::size_t s = 0; s < pieces.size(); ++s) {
-        merged.merge_from(pieces[s], map.range_bounds()[s]);
-      }
-      if (merged.nnz() != g.nnz()) out.bit_identical = false;
-    }
-    out.split_merge_ns = watch.elapsed_ms() * 1e6 / iters;
   }
 
   // ---- resolve: masked vs full assembly from per-shard delta chains. ------
@@ -192,9 +161,8 @@ int main() {
                 "a sparse batch whose support touches one of S shards "
                 "resolves and pays wire bytes for that shard alone");
 
-  metrics::Table table({"S", "route ns", "split+merge ns", "resolve ns (masked)",
-                        "resolve ns (full)", "step B (masked)", "step B (full)",
-                        "bytes ratio"});
+  metrics::Table table({"S", "route ns", "resolve ns (masked)", "resolve ns (full)",
+                        "step B (masked)", "step B (full)", "bytes ratio"});
   std::vector<std::string> rows;
   std::vector<std::pair<std::string, double>> json;
   bool all_bit_identical = true;
@@ -210,20 +178,17 @@ int main() {
       return std::to_string(static_cast<long long>(v + 0.5));
     };
     table.add_row({std::to_string(num_shards), whole(r.route_ns),
-                   whole(r.split_merge_ns), whole(r.masked_resolve_ns),
-                   whole(r.full_resolve_ns), std::to_string(r.masked_step_bytes),
-                   std::to_string(r.full_step_bytes),
+                   whole(r.masked_resolve_ns), whole(r.full_resolve_ns),
+                   std::to_string(r.masked_step_bytes), std::to_string(r.full_step_bytes),
                    metrics::Table::num(bytes_ratio, 3)});
     std::ostringstream os;
-    os << num_shards << ',' << r.route_ns << ',' << r.split_merge_ns << ','
-       << r.masked_resolve_ns << ',' << r.full_resolve_ns << ','
+    os << num_shards << ',' << r.route_ns << ',' << r.masked_resolve_ns << ',' << r.full_resolve_ns << ','
        << r.masked_step_bytes << ',' << r.full_step_bytes;
     rows.push_back(os.str());
 
     std::ostringstream key;
     key << "micro_shard_route.s" << num_shards;
     json.emplace_back(key.str() + ".route_ns", r.route_ns);
-    json.emplace_back(key.str() + ".split_merge_ns", r.split_merge_ns);
     json.emplace_back(key.str() + ".masked_resolve_ns", r.masked_resolve_ns);
     json.emplace_back(key.str() + ".full_resolve_ns", r.full_resolve_ns);
     json.emplace_back(key.str() + ".bytes_ratio", bytes_ratio);
@@ -232,16 +197,16 @@ int main() {
                     all_bit_identical ? 1.0 : 0.0);
 
   bench::write_csv("micro_shard_route.csv",
-                   "shards,route_ns,split_merge_ns,masked_resolve_ns,"
-                   "full_resolve_ns,masked_step_bytes,full_step_bytes",
+                   "shards,route_ns,masked_resolve_ns,full_resolve_ns,"
+                   "masked_step_bytes,full_step_bytes",
                    rows);
   bench::update_bench_json(json);
   std::cout << "\n";
   table.print(std::cout);
   std::cout << "\nshape check: masked resolution cost and step bytes stay "
                "roughly flat in S while the full assembly scales with it, so "
-               "the bytes ratio grows ~linearly; route and split+merge are "
-               "nanosecond-scale overheads.\n";
+               "the bytes ratio grows ~linearly; routing is a "
+               "nanosecond-scale overhead.\n";
   if (!all_bit_identical) {
     std::cerr << "FAIL: sharded assembly diverged from the unsharded store\n";
     return 1;

@@ -42,8 +42,7 @@ void Coordinator::drain_loop() {
 }
 
 void Coordinator::process_result(engine::TaskResult result) {
-  TaggedResult tagged;
-  bool duplicate = false;
+  bool delivered = false;
   {
     std::lock_guard lock(stat_mutex_);
 
@@ -64,9 +63,8 @@ void Coordinator::process_result(engine::TaskResult result) {
       excess = result.seq <= last->second;
     }
 
-    if (excess) {
-      duplicate = true;
-    } else {
+    bool duplicate = excess;
+    if (!excess) {
       apply_result_locked(result);
 
       // First-result-wins: a task registered per identity may have replicas
@@ -90,7 +88,17 @@ void Coordinator::process_result(engine::TaskResult result) {
         }
         consume_copy_locked(it, result.worker);
       }
+    }
 
+    // Results are queued under the lock, in the same critical section that
+    // drops their task from `outstanding`: a reader that sees
+    // total_outstanding() == 0 && !has_next() then knows nothing is in
+    // flight. Both queues are unbounded, so the push never blocks.
+    if (duplicate) {
+      duplicates_dropped_.fetch_add(1, std::memory_order_relaxed);
+      cluster_.metrics().duplicate_results.add(1);
+    } else if (result.ok()) {
+      TaggedResult tagged;
       const engine::Version now = current_version();
       WorkerStat row = stats_[static_cast<std::size_t>(result.worker)];
       row.result_staleness = now - row.last_result_version;
@@ -98,25 +106,23 @@ void Coordinator::process_result(engine::TaskResult result) {
           row.ever_dispatched ? now - row.last_dispatch_version : 0;
       tagged.staleness = now >= result.model_version ? now - result.model_version : 0;
       tagged.worker = row;
+      // Telemetry staleness uses the same definition, recorded before the
+      // result becomes collectable so a report counts every delivered result.
+      if (cluster_.telemetry().enabled()) {
+        cluster_.telemetry().record_staleness(tagged.staleness);
+      }
+      tagged.result = std::move(result);
+      results_.push(std::move(tagged));
+      delivered = true;
+    } else {
+      failures_.push(std::move(result));
     }
   }
-  if (duplicate) {
-    duplicates_dropped_.fetch_add(1, std::memory_order_relaxed);
-    cluster_.metrics().duplicate_results.add(1);
-  } else if (result.ok()) {
-    // Harvest cycle: the coordinator's drain thread is the consumer side of
-    // the telemetry rings — staleness is recorded at processing time (same
-    // definition as tagged.staleness) and every harvest_every-th delivered
-    // result drains the per-thread rings, off the timed solver path.
-    auto& recorder = cluster_.telemetry();
-    if (recorder.enabled()) {
-      recorder.record_staleness(tagged.staleness);
-      recorder.on_result_processed();
-    }
-    tagged.result = std::move(result);
-    results_.push(std::move(tagged));
-  } else {
-    failures_.push(std::move(result));
+  // Harvest cycle: the coordinator's drain thread is the consumer side of the
+  // telemetry rings — every harvest_every-th delivered result drains the
+  // per-thread rings, off the timed solver path and outside the STAT lock.
+  if (delivered && cluster_.telemetry().enabled()) {
+    cluster_.telemetry().on_result_processed();
   }
 }
 

@@ -59,7 +59,9 @@ class Coordinator {
     return version_.load(std::memory_order_acquire);
   }
 
-  /// True if an annotated result is waiting (AC.hasNext()).
+  /// True if an annotated result is waiting (AC.hasNext()). A result is
+  /// queued before its task leaves the outstanding count, so
+  /// total_outstanding() == 0 && !has_next() means no result is in flight.
   [[nodiscard]] bool has_next() const { return !results_.empty(); }
 
   /// True once stop() has been called (collect() will not block again).

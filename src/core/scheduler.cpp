@@ -11,6 +11,12 @@ namespace asyncml::core {
 
 namespace {
 
+/// Hysteresis for stealing: a move must shrink the victim's estimated drain
+/// time to below 1/kStealMargin of its current value relative to the
+/// thief's, so EWMA jitter on a healthy cluster never triggers moves (a
+/// no-delay run keeps the fixed placement bit-for-bit).
+constexpr double kStealMargin = 1.15;
+
 /// Per-worker speed estimate in ms/task: the EWMA when the worker has
 /// history, `fallback` (cluster mean of the workers that do) otherwise.
 double speed_ms(const WorkerStat& row, double fallback) {
@@ -354,7 +360,7 @@ int AsyncScheduler::steal_pass(const StatSnapshot& stat, const BarrierControl* b
     // cluster never reshuffles ownership.
     const double before = est(victim, 0);
     const double after = std::max(est(victim, -1), est(thief, +1));
-    if (before <= policy_.steal_margin * after) break;
+    if (before <= kStealMargin * after) break;
 
     // Steal the partition the victim would service last (just before its
     // round-robin cursor): the least disruption to its local iteration.

@@ -83,12 +83,6 @@ struct SchedulerPolicy {
   /// otherwise fire constantly.
   double lost_task_factor = 0.0;
 
-  /// Hysteresis for stealing: a move must shrink the victim's estimated
-  /// drain time to below 1/steal_margin of its current value relative to
-  /// the thief's, so EWMA jitter on a healthy cluster never triggers moves
-  /// (a no-delay run keeps the fixed placement bit-for-bit).
-  double steal_margin = 1.15;
-
   /// Modeled resident bytes per partition — the one-time migration cost of
   /// a steal (and the remote-read cost of a speculative replica), charged
   /// through the cluster's NetworkModel. Empty = migration is free.

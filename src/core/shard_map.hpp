@@ -9,19 +9,13 @@
 // cadence, and GC floor (store/sharded_store.hpp), and sparse workloads fetch
 // only the shards their batch-union support touches.
 //
-// Two schemes (docs/SHARDING.md):
-//   kRange — balanced contiguous ranges: base = dim/S coordinates per shard,
-//            the dim%S remainder spread over the leftmost shards.  Extract /
-//            scatter are memcpys, and GradVector::split_ranges slices
-//            gradients along the same bounds, so range sharding is what the
-//            tree aggregation path uses.
-//   kHash  — strided assignment shard_of(i) = i % S (local index i / S):
-//            robust against index-locality skew in the data, at the cost of
-//            strided extract/scatter and no range-split tree support.
+// The partition is balanced contiguous ranges (docs/SHARDING.md): base =
+// dim/S coordinates per shard, the dim%S remainder spread over the leftmost
+// shards, so extract / scatter are memcpys.
 //
-// Determinism: a ShardMap is a pure function of (dim, S, scheme) — the driver
-// and every worker derive identical maps, and the per-coordinate placement
-// never depends on the data, so sharding can never change which coordinate a
+// Determinism: a ShardMap is a pure function of (dim, S) — the driver and
+// every worker derive identical maps, and the per-coordinate placement never
+// depends on the data, so sharding can never change which coordinate a
 // value lands on (the S=1 bit-exactness argument starts here).
 
 #include <cassert>
@@ -31,9 +25,6 @@
 #include <vector>
 
 namespace asyncml::core {
-
-/// Partitioning scheme over feature indices.
-enum class ShardScheme : std::uint8_t { kRange, kHash };
 
 /// Sorted set of shard ids a partition's row-support union touches — the
 /// fetch mask of a masked model read (HistoryBroadcast::value(support)).
@@ -51,17 +42,14 @@ class ShardMap {
 
   /// `num_shards` is clamped to [1, max(1, dim)]: a shard must own at least
   /// one coordinate.
-  ShardMap(std::size_t dim, std::uint32_t num_shards,
-           ShardScheme scheme = ShardScheme::kRange);
+  ShardMap(std::size_t dim, std::uint32_t num_shards);
 
   [[nodiscard]] std::size_t dim() const noexcept { return dim_; }
   [[nodiscard]] std::uint32_t num_shards() const noexcept { return num_shards_; }
-  [[nodiscard]] ShardScheme scheme() const noexcept { return scheme_; }
 
   /// Shard owning global coordinate `index`.
   [[nodiscard]] std::uint32_t shard_of(std::uint32_t index) const noexcept {
     assert(index < dim_);
-    if (scheme_ == ShardScheme::kHash) return index % num_shards_;
     // Balanced ranges: the first `rem_` shards hold base_+1 coordinates.
     const std::uint32_t wide = rem_ * (base_ + 1);
     return index < wide ? index / (base_ + 1) : rem_ + (index - wide) / base_;
@@ -70,7 +58,6 @@ class ShardMap {
   /// Index of `index` inside its shard's slice.
   [[nodiscard]] std::uint32_t local_of(std::uint32_t index) const noexcept {
     assert(index < dim_);
-    if (scheme_ == ShardScheme::kHash) return index / num_shards_;
     return index - bounds_[shard_of(index)];
   }
 
@@ -78,23 +65,13 @@ class ShardMap {
   [[nodiscard]] std::uint32_t global_of(std::uint32_t shard,
                                         std::uint32_t local) const noexcept {
     assert(shard < num_shards_);
-    if (scheme_ == ShardScheme::kHash) return local * num_shards_ + shard;
     return bounds_[shard] + local;
   }
 
   /// Number of coordinates shard `shard` owns.
   [[nodiscard]] std::size_t shard_dim(std::uint32_t shard) const noexcept {
     assert(shard < num_shards_);
-    if (scheme_ == ShardScheme::kHash) {
-      return dim_ / num_shards_ + (shard < dim_ % num_shards_ ? 1 : 0);
-    }
     return bounds_[shard + 1] - bounds_[shard];
-  }
-
-  /// kRange boundary array [0, b1, …, dim] — what GradVector::split_ranges
-  /// and the per-shard slice copies consume.  Empty for kHash.
-  [[nodiscard]] const std::vector<std::uint32_t>& range_bounds() const noexcept {
-    return bounds_;
   }
 
   /// Copies shard `shard`'s slice of the full-dim `w` into `slice`
@@ -115,10 +92,9 @@ class ShardMap {
  private:
   std::size_t dim_ = 0;
   std::uint32_t num_shards_ = 1;
-  ShardScheme scheme_ = ShardScheme::kRange;
-  std::uint32_t base_ = 0;  ///< kRange: dim / S
-  std::uint32_t rem_ = 0;   ///< kRange: dim % S (spread over the left shards)
-  std::vector<std::uint32_t> bounds_;  ///< kRange: S+1 boundaries
+  std::uint32_t base_ = 0;  ///< dim / S
+  std::uint32_t rem_ = 0;   ///< dim % S (spread over the left shards)
+  std::vector<std::uint32_t> bounds_;  ///< S+1 boundaries
 };
 
 }  // namespace asyncml::core

@@ -164,52 +164,6 @@ void GradVector::overwrite_into(std::span<double> y) const {
   }
 }
 
-std::vector<GradVector> GradVector::split_ranges(
-    std::span<const std::uint32_t> bounds) const {
-  assert(configured() && "GradVector::split_ranges before ensure()");
-  assert(bounds.size() >= 2 && bounds.front() == 0 &&
-         bounds.back() == cfg_.dim && "bounds must be [0, …, dim]");
-  const std::size_t pieces = bounds.size() - 1;
-  std::vector<GradVector> out;
-  out.reserve(pieces);
-  for (std::size_t s = 0; s < pieces; ++s) {
-    // Pieces preserve the source's representation; sparse pieces get a
-    // never-densify threshold so the split cannot change the encoding.
-    GradVectorConfig piece_cfg(bounds[s + 1] - bounds[s],
-                               dense_mode_ ? cfg_.densify_threshold : 1.01,
-                               /*dense_start=*/dense_mode_);
-    out.emplace_back(piece_cfg);
-  }
-  if (dense_mode_) {
-    if (!dense_.empty()) {
-      for (std::size_t s = 0; s < pieces; ++s) {
-        out[s].assign_dense({dense_.data() + bounds[s], out[s].dim()});
-      }
-    }
-    return out;
-  }
-  for_each([&](std::uint32_t k, double v) {
-    const auto it = std::upper_bound(bounds.begin(), bounds.end(), k);
-    const auto s = static_cast<std::size_t>(it - bounds.begin()) - 1;
-    out[s].set(k - bounds[s], v);
-  });
-  return out;
-}
-
-void GradVector::merge_from(const GradVector& piece, std::uint32_t offset) {
-  assert(configured() && "GradVector::merge_from before ensure()");
-  assert(offset + piece.dim() <= cfg_.dim && "piece exceeds target range");
-  if (piece.nnz() == 0) return;
-  if (dense_mode_) {
-    double* d = touch_dense();
-    piece.for_each([&](std::uint32_t k, double v) { d[offset + k] += v; });
-    return;
-  }
-  if (keys_.empty()) init_table();
-  piece.for_each([&](std::uint32_t k, double v) { sparse_add(offset + k, v); });
-  maybe_densify();
-}
-
 DenseVector GradVector::to_dense() const {
   DenseVector out(cfg_.dim);
   scale_into(1.0, out.span());

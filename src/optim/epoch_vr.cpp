@@ -49,16 +49,16 @@ RunResult EpochVrSolver::run(engine::Cluster& cluster, const Workload& workload,
     core::HistoryBroadcast w_br = ac.handle_for(snapshot_version);
     auto rebuild_factory = [&] {
       return ac.make_fn_factory(
-          detail::svrg_task_fn(workload, config, w_br, snapshot_br, run.grad_cfg,
-                               config.batch_fraction, run.shard_support),
+          detail::make_svrg_batch_fn(workload.dataset, workload.partitions,
+                                     workload.loss, w_br, snapshot_br, run.grad_cfg,
+                                     config.batch_fraction, run.shard_support),
           run.opts);
     };
     core::AsyncScheduler::TaskFactory factory = rebuild_factory();
     // Inner tasks dispatched and not yet collected. Each accepted dispatch
     // delivers exactly one result (retries and replicas keep its identity),
-    // so the tail drains by this count: the coordinator's outstanding count
-    // drops before a result is queued, so polling it can stop one short and
-    // leave an inner result for the next epoch's synchronous round.
+    // so the tail drains by this count and leaves no inner result for the
+    // next epoch's synchronous round.
     int in_flight = detail::dispatch_live(ac, config.barrier, factory);
 
     // w ← w − α [(ĝ_cur − ĝ_snap) + μ]; false for a task that sampled nothing.

@@ -1,8 +1,9 @@
 #pragma once
 
-// Fused batch gradient task bodies — the devirtualized replacement for the
-// per-row seq-op pipeline (make_grad_seq / make_saga_seq streaming through
-// the RDD sink chain).
+// Fused batch gradient task bodies: every gradient-shipping solver's tasks
+// run these. Their test oracle is the per-row seq-op pipeline in
+// tests/reference/per_row.hpp (a virtual Loss call per row streaming
+// through the RDD sink chain).
 //
 // One task = one partition slice. The fused body runs three passes:
 //   1. margins:  gemv over the dense row block / row-slice spmv over CSR
@@ -14,8 +15,8 @@
 // Scratch (row ids, margins, labels, coeffs, dense accumulators) comes from
 // the executor thread's support::ScratchArena and is reused across tasks.
 //
-// Bit-compatibility contract with the per-row path, relied on by the
-// fused/per-row property sweep and the fig3 1-worker bit-match check:
+// Bit-compatibility contract with the per-row reference, relied on by the
+// task-level property sweep and the 1-worker SGD trajectory bit-match:
 //   * mini-batch selection replays engine::sample_partition_rows (same RNG
 //     draws in the same order as Rdd::sample);
 //   * margins and coefficients use the identical scalar arithmetic
@@ -210,7 +211,7 @@ template <typename Handle>
 }
 
 /// Fused gradient-sum task (Algorithms 1–2): the batch replacement for
-/// make_aggregate_fn(points.sample(f), GradCount{}, make_grad_seq(...)).
+/// make_aggregate_fn(points.sample(f), GradCount{}, <per-row gradient op>).
 /// `Handle` is engine::Broadcast<DenseVector> or core::HistoryBroadcast.
 /// `support` (optional) masks the model read to the partition's shards.
 template <typename Handle>

@@ -42,8 +42,6 @@ RunResult NaiveSagaSolver::run(engine::Cluster& cluster, const Workload& workloa
                                                   /*two_pass=*/true);
   const linalg::GradVectorConfig grad_cfg = detail::grad_config(workload, config);
 
-  const engine::Rdd<data::LabeledPoint> sampled =
-      workload.points.sample(config.batch_fraction);
   // Worker-resident per-sample index into the model table (same partition-
   // affinity contract as core::SampleVersionTable).
   auto index_table =
@@ -64,43 +62,15 @@ RunResult NaiveSagaSolver::run(engine::Cluster& cluster, const Workload& workloa
         cluster.broadcast(table, payload_size_bytes(table));
     const std::uint64_t current_index = table.models.size() - 1;
 
-    std::shared_ptr<const engine::TaskFn> fn;
-    if (config.fused_kernels) {
-      fn = detail::make_saga_batch_fn(
-          workload.dataset, workload.partitions, workload.loss,
-          TableHandle{table_br, current_index}, index_table, grad_cfg,
-          config.batch_fraction,
-          [table_br](engine::Version last,
-                     const core::ShardSet* /*mask*/) -> const linalg::DenseVector& {
-            return table_br.value().models[last];
-          },
-          /*set_version=*/current_index);
-    } else {
-      auto seq = [loss = workload.loss, table_br, index_table, grad_cfg,
-                  current_index](GradHist acc, const data::LabeledPoint& p) {
-        acc.grad.ensure(grad_cfg);
-        acc.hist.ensure(grad_cfg);
-        const ModelTable& models = table_br.value();
-        const linalg::DenseVector& w_new = models.models[current_index];
-        const double coeff_new =
-            loss->derivative(p.features.dot(w_new.span()), p.label);
-        p.features.axpy_into(coeff_new, acc.grad);
-
-        const engine::Version last = index_table->get(p.index);
-        if (last != detail::kNeverVisited) {
-          const linalg::DenseVector& w_old = models.models[last];
-          const double coeff_old =
-              loss->derivative(p.features.dot(w_old.span()), p.label);
-          p.features.axpy_into(coeff_old, acc.hist);
-        }
-        index_table->set(p.index, current_index);
-        acc.count += 1;
-        return acc;
-      };
-      fn = engine::make_aggregate_fn<data::LabeledPoint, GradHist>(
-          sampled, GradHist{linalg::GradVector(grad_cfg), linalg::GradVector(grad_cfg)},
-          std::move(seq));
-    }
+    auto fn = detail::make_saga_batch_fn(
+        workload.dataset, workload.partitions, workload.loss,
+        TableHandle{table_br, current_index}, index_table, grad_cfg,
+        config.batch_fraction,
+        [table_br](engine::Version last,
+                   const core::ShardSet* /*mask*/) -> const linalg::DenseVector& {
+          return table_br.value().models[last];
+        },
+        /*set_version=*/current_index);
 
     engine::StageOptions stage;
     // seq = k+1 aligns batches with SagaSolver (the AsyncScheduler's round

@@ -1,7 +1,7 @@
 #pragma once
 
 // Internals shared by the solvers: run-metric bookkeeping and the gradient
-// sequence operators (the `map` bodies of Algorithms 1–4).
+// task bodies (the `map` bodies of Algorithms 1–4).
 
 #include <algorithm>
 #include <concepts>
@@ -53,16 +53,15 @@ inline constexpr engine::Version kNeverVisited = core::kNeverVisited;
 /// as the read mask, so a 0.2%-density batch materializes only the shards its
 /// support hits instead of assembling all S.  Null when masking cannot help:
 /// an unsharded plane, or a dense dataset (every row touches every shard).
-/// The ShardMap here is a pure function of (dim, S, scheme) — identical to
-/// the one the sharded store builds lazily at first publish.
+/// The ShardMap here is a pure function of (dim, S) — identical to the one
+/// the sharded store builds lazily at first publish.
 [[nodiscard]] inline std::shared_ptr<const std::vector<core::ShardSet>>
 shard_support_table(const Workload& workload, const SolverConfig& config) {
   if (config.store_config.num_shards <= 1 || workload.dataset->is_dense()) {
     return nullptr;
   }
   const core::ShardMap map(static_cast<std::uint32_t>(workload.dim()),
-                           config.store_config.num_shards,
-                           config.store_config.shard_scheme);
+                           config.store_config.num_shards);
   if (map.num_shards() <= 1) return nullptr;
   const linalg::CsrMatrix& csr = workload.dataset->sparse_features();
   auto table = std::make_shared<std::vector<core::ShardSet>>();
@@ -328,25 +327,6 @@ inline int dispatch_live(core::AsyncContext& ac, const core::BarrierControl& bar
   return submitted;
 }
 
-/// Gradient-sum sequence op (the `map(p => ∇f_p(w_br.value))` of Algorithms
-/// 1–2), generic over the broadcast handle type (engine::Broadcast or
-/// core::HistoryBroadcast — both expose value()).  `grad_cfg` fixes the
-/// accumulator representation (see detail::grad_config); passing a bare dim
-/// yields the default sparse-start policy.
-template <typename Handle>
-[[nodiscard]] auto make_grad_seq(std::shared_ptr<const Loss> loss, Handle w_br,
-                                 linalg::GradVectorConfig grad_cfg) {
-  return [loss = std::move(loss), w_br, grad_cfg](GradCount acc,
-                                                  const data::LabeledPoint& p) {
-    acc.grad.ensure(grad_cfg);
-    const linalg::DenseVector& w = w_br.value();
-    const double coeff = loss->derivative(p.features.dot(w.span()), p.label);
-    p.features.axpy_into(coeff, acc.grad);
-    acc.count += 1;
-    return acc;
-  };
-}
-
 /// Combine op summing GradCount partials (driver side of reduce(_+_)).
 [[nodiscard]] inline auto grad_comb() {
   return [](GradCount a, const GradCount& b) {
@@ -354,35 +334,6 @@ template <typename Handle>
     a.grad.add(b.grad);
     a.count += b.count;
     return a;
-  };
-}
-
-/// SAGA sequence op (the `map((index,p) => (∇f_p(w_br.value),
-/// ∇f_p(w_br.value(index))))` of Algorithm 4): fresh gradient at the pinned
-/// model, historical gradient recomputed from the sample's last version, and
-/// the version table advanced to the pinned version.
-[[nodiscard]] inline auto make_saga_seq(std::shared_ptr<const Loss> loss,
-                                        core::HistoryBroadcast w_br,
-                                        std::shared_ptr<core::SampleVersionTable> table,
-                                        linalg::GradVectorConfig grad_cfg) {
-  return [loss = std::move(loss), w_br, table = std::move(table), grad_cfg](
-             GradHist acc, const data::LabeledPoint& p) {
-    acc.grad.ensure(grad_cfg);
-    acc.hist.ensure(grad_cfg);
-    const linalg::DenseVector& w_new = w_br.value();
-    const double coeff_new = loss->derivative(p.features.dot(w_new.span()), p.label);
-    p.features.axpy_into(coeff_new, acc.grad);
-
-    const engine::Version last = table->get(p.index);
-    if (last != kNeverVisited) {
-      const linalg::DenseVector& w_old = w_br.value_at(last);
-      const double coeff_old =
-          loss->derivative(p.features.dot(w_old.span()), p.label);
-      p.features.axpy_into(coeff_old, acc.hist);
-    }
-    table->set(p.index, w_br.version());
-    acc.count += 1;
-    return acc;
   };
 }
 
@@ -397,94 +348,35 @@ template <typename Handle>
   };
 }
 
-/// SVRG inner sequence op (per-row reference): fresh gradient at the
-/// dispatched model and snapshot gradient at the epoch's w̃.
-[[nodiscard]] inline auto make_svrg_seq(std::shared_ptr<const Loss> loss,
-                                        core::HistoryBroadcast w_br,
-                                        core::HistoryBroadcast snapshot_br,
-                                        linalg::GradVectorConfig grad_cfg) {
-  return [loss = std::move(loss), w_br, snapshot_br, grad_cfg](
-             GradHist acc, const data::LabeledPoint& p) {
-    acc.grad.ensure(grad_cfg);
-    acc.hist.ensure(grad_cfg);
-    const linalg::DenseVector& w = w_br.value();
-    const double coeff = loss->derivative(p.features.dot(w.span()), p.label);
-    p.features.axpy_into(coeff, acc.grad);
-
-    const linalg::DenseVector& snap = snapshot_br.value();
-    const double coeff_snap = loss->derivative(p.features.dot(snap.span()), p.label);
-    p.features.axpy_into(coeff_snap, acc.hist);
-    acc.count += 1;
-    return acc;
-  };
-}
-
-// ---- task-body dispatch: fused batch kernels vs per-row reference ----------
-//
-// Every gradient-shipping solver builds its task bodies through these; the
-// SolverConfig::fused_kernels switch keeps the per-row pipeline alive as the
-// bit-compatible reference (property sweeps, micro benches).  `fraction`
-// engaged = mini-batch sample; nullopt = full partition pass (epoch heads).
-
-/// Gradient-sum task body (Algorithms 1–2).  `support` is the per-partition
-/// shard-support table (shard_support_table); the fused bodies use it to
-/// mask their model reads on a sharded plane, the per-row reference path
-/// ignores it (full materialization, bit-identical values either way).
+/// Gradient-sum task body (Algorithms 1–2): the fused batch kernel over the
+/// workload's partitions. `fraction` engaged = mini-batch sample; nullopt =
+/// full partition pass (epoch heads). `support` is the per-partition
+/// shard-support table (shard_support_table), which masks the model reads on
+/// a sharded plane.
 template <typename Handle>
 [[nodiscard]] std::shared_ptr<const engine::TaskFn> grad_task_fn(
-    const Workload& workload, const SolverConfig& config, Handle w_br,
+    const Workload& workload, const SolverConfig& /*config*/, Handle w_br,
     linalg::GradVectorConfig grad_cfg, std::optional<double> fraction,
     std::shared_ptr<const std::vector<core::ShardSet>> support = nullptr) {
-  if (config.fused_kernels) {
-    return make_grad_batch_fn(workload.dataset, workload.partitions, workload.loss,
-                              w_br, grad_cfg, fraction, std::move(support));
-  }
-  const engine::Rdd<data::LabeledPoint> rdd =
-      fraction.has_value() ? workload.points.sample(*fraction) : workload.points;
-  return engine::make_aggregate_fn<data::LabeledPoint, GradCount>(
-      rdd, GradCount{linalg::GradVector(grad_cfg)},
-      make_grad_seq(workload.loss, w_br, grad_cfg));
+  return make_grad_batch_fn(workload.dataset, workload.partitions, workload.loss, w_br,
+                            grad_cfg, fraction, std::move(support));
 }
 
-/// SAGA task body (Algorithm 4).
+/// SAGA task body (Algorithm 4): fresh gradient at the pinned model,
+/// historical gradient at each sample's last version, table advanced to the
+/// pinned version.
 [[nodiscard]] inline std::shared_ptr<const engine::TaskFn> saga_task_fn(
-    const Workload& workload, const SolverConfig& config, core::HistoryBroadcast w_br,
-    std::shared_ptr<core::SampleVersionTable> table, linalg::GradVectorConfig grad_cfg,
-    std::optional<double> fraction,
+    const Workload& workload, const SolverConfig& /*config*/,
+    core::HistoryBroadcast w_br, std::shared_ptr<core::SampleVersionTable> table,
+    linalg::GradVectorConfig grad_cfg, std::optional<double> fraction,
     std::shared_ptr<const std::vector<core::ShardSet>> support = nullptr) {
-  if (config.fused_kernels) {
-    return make_saga_batch_fn(
-        workload.dataset, workload.partitions, workload.loss, w_br, std::move(table),
-        grad_cfg, fraction,
-        [w_br](engine::Version v,
-               const core::ShardSet* mask) -> const linalg::DenseVector& {
-          return w_br.value_at(v, mask);
-        },
-        w_br.version(), std::move(support));
-  }
-  const engine::Rdd<data::LabeledPoint> rdd =
-      fraction.has_value() ? workload.points.sample(*fraction) : workload.points;
-  return engine::make_aggregate_fn<data::LabeledPoint, GradHist>(
-      rdd, GradHist{linalg::GradVector(grad_cfg), linalg::GradVector(grad_cfg)},
-      make_saga_seq(workload.loss, w_br, std::move(table), grad_cfg));
-}
-
-/// SVRG inner task body (epoch VR).
-[[nodiscard]] inline std::shared_ptr<const engine::TaskFn> svrg_task_fn(
-    const Workload& workload, const SolverConfig& config, core::HistoryBroadcast w_br,
-    core::HistoryBroadcast snapshot_br, linalg::GradVectorConfig grad_cfg,
-    std::optional<double> fraction,
-    std::shared_ptr<const std::vector<core::ShardSet>> support = nullptr) {
-  if (config.fused_kernels) {
-    return make_svrg_batch_fn(workload.dataset, workload.partitions, workload.loss,
-                              w_br, snapshot_br, grad_cfg, fraction,
-                              std::move(support));
-  }
-  const engine::Rdd<data::LabeledPoint> rdd =
-      fraction.has_value() ? workload.points.sample(*fraction) : workload.points;
-  return engine::make_aggregate_fn<data::LabeledPoint, GradHist>(
-      rdd, GradHist{linalg::GradVector(grad_cfg), linalg::GradVector(grad_cfg)},
-      make_svrg_seq(workload.loss, w_br, snapshot_br, grad_cfg));
+  return make_saga_batch_fn(
+      workload.dataset, workload.partitions, workload.loss, w_br, std::move(table),
+      grad_cfg, fraction,
+      [w_br](engine::Version v, const core::ShardSet* mask) -> const linalg::DenseVector& {
+        return w_br.value_at(v, mask);
+      },
+      w_br.version(), std::move(support));
 }
 
 }  // namespace asyncml::optim::detail

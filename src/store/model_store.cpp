@@ -60,7 +60,7 @@ engine::BroadcastId ModelStore::publish(const linalg::DenseVector& w,
   // update) then allocates nothing but its base snapshot.
   changed_.clear();
   if (can_delta) {
-    const double limit = cfg_.densify_threshold * static_cast<double>(dim);
+    const double limit = kDeltaDensifyThreshold * static_cast<double>(dim);
     for (std::size_t i = 0; i < dim; ++i) {
       if (w[i] != prev_[i]) {
         changed_.push_back(static_cast<std::uint32_t>(i));

@@ -10,8 +10,8 @@
 //
 //   base   — a full DenseVector snapshot (8*dim wire bytes).  Forced for the
 //            first version, every `base_interval` versions (bounding chain
-//            length), when the delta densifies past `densify_threshold`, or
-//            whenever delta publishing is disabled.
+//            length), when the delta densifies past kDeltaDensifyThreshold,
+//            or whenever delta publishing is disabled.
 //   delta  — a sparse overwrite set against the parent version
 //            (ModelDelta, exactly 8 + 12*nnz wire bytes).
 //

@@ -43,8 +43,7 @@ engine::BroadcastId ShardedModelStore::publish(const linalg::DenseVector& w,
 
   if (map_ == nullptr) {
     // First publish fixes the dimension; S clamps to it.
-    map_ = std::make_unique<core::ShardMap>(w.size(), cfg_.num_shards,
-                                            cfg_.shard_scheme);
+    map_ = std::make_unique<core::ShardMap>(w.size(), cfg_.num_shards);
     shards_.reserve(map_->num_shards());
     for (std::uint32_t s = 0; s < map_->num_shards(); ++s) {
       auto shard = std::make_unique<ModelStore>(broadcasts_, cfg_);

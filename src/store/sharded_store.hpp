@@ -34,10 +34,10 @@
 // VersionedModelCache's single-flight).  Returned references stay valid until
 // the version falls below the GC floor, same contract as the unsharded cache.
 //
-// Determinism: the ShardMap is a pure function of (dim, S, scheme), slices
-// are copied bit-for-bit, and per-shard chains replay the same per-coordinate
+// Determinism: the ShardMap is a pure function of (dim, S), slices are
+// copied bit-for-bit, and per-shard chains replay the same per-coordinate
 // overwrite values the unsharded chain would — so solver trajectories are
-// bit-identical across S for any fixed combine mode (docs/SHARDING.md).
+// bit-identical across S (docs/SHARDING.md).
 
 #include <cstdint>
 #include <map>

@@ -6,8 +6,6 @@
 #include <cstdint>
 #include <string>
 
-#include "core/shard_map.hpp"
-
 namespace asyncml::store {
 
 /// Knobs of the content-addressed disk tier beneath the model store
@@ -39,9 +37,10 @@ struct DiskTierConfig {
   bool fsync = true;
 };
 
-/// Delta nnz/dim ratio above which publishing a full base snapshot is cheaper
-/// than a delta: the wire break-even of the (u32 index, f64 value) encoding is
-/// 12 bytes per touched coordinate against 8 bytes per dense coordinate.
+/// Delta nnz/dim ratio above which a publish densifies into a full base
+/// snapshot, which is then cheaper than a delta: the wire break-even of the
+/// (u32 index, f64 value) encoding is 12 bytes per touched coordinate against
+/// 8 bytes per dense coordinate.
 inline constexpr double kDeltaDensifyThreshold = 2.0 / 3.0;
 
 struct StoreConfig {
@@ -53,19 +52,11 @@ struct StoreConfig {
   /// the delta-chain length a cold worker must fetch to materialize a model.
   std::uint32_t base_interval = 16;
 
-  /// Deltas touching more than this fraction of the coordinates densify into
-  /// a base snapshot instead (see kDeltaDensifyThreshold for the break-even).
-  double densify_threshold = kDeltaDensifyThreshold;
-
   /// Coordinator shards the model plane is partitioned across (clamped to the
   /// model dimension at first publish).  1 = the unsharded reference: the
   /// ShardedModelStore delegates wholesale to a single ModelStore and every
   /// trajectory is bit-exact with pre-sharding builds.  docs/SHARDING.md.
   std::uint32_t num_shards = 1;
-
-  /// Feature-index partitioning scheme (kRange enables tree aggregation and
-  /// memcpy extract/scatter; see core/shard_map.hpp).
-  core::ShardScheme shard_scheme = core::ShardScheme::kRange;
 
   /// Durable disk tier beneath the store. Write-through + read-fault-in only:
   /// a live run never *reads* from disk, so trajectories are bit-identical

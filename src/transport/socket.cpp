@@ -301,7 +301,7 @@ class SocketChannel final : public Channel {
     const FrameKind kind = envelope_frame_kind(payload);
     const std::uint8_t type = static_cast<std::uint8_t>(kind);
     const std::vector<std::uint8_t> frame =
-        (config_.compress_deltas && kind == FrameKind::kModelDelta)
+        kind == FrameKind::kModelDelta
             ? encode_frame_lz4(type, body)
             : encode_frame(type, body);
     StatusOr<RoundTrip> rt = round_trip(frame, config_.io_deadline_ms);

@@ -56,9 +56,6 @@ struct TransportConfig {
   /// Deadline for one blocking I/O step of a round trip (connect, write,
   /// read). Socket waits are poll()-bounded — there are no raw sleeps.
   double io_deadline_ms = 10000.0;
-  /// Lz4-compress model-delta frames (the delta chain); other channels ship
-  /// raw. Bit-exactness does not depend on this knob.
-  bool compress_deltas = true;
   /// Worker launcher binary for the socket backends. Empty resolves
   /// $ASYNCML_WORKER_BIN, then `asyncml_worker` next to the running binary.
   std::string worker_binary;

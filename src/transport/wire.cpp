@@ -132,10 +132,13 @@ Status decode_grad_vector(MsgReader& r, linalg::GradVector& out) {
     if (val_bin.size() != dim * sizeof(double)) {
       return bad("gradvector: dense value bin size mismatch");
     }
+    // A msgpack bin can start at any byte offset of the frame: copy the bytes
+    // out rather than reading doubles through a misaligned pointer.
+    std::vector<double> values(static_cast<std::size_t>(dim));
+    std::memcpy(values.data(), val_bin.data(), val_bin.size());
     linalg::GradVector g(
         linalg::GradVectorConfig(static_cast<std::size_t>(dim), threshold, start_dense));
-    g.assign_dense({reinterpret_cast<const double*>(val_bin.data()),
-                    static_cast<std::size_t>(dim)});
+    g.assign_dense(values);
     out = std::move(g);
     return Status::ok();
   }
@@ -147,10 +150,10 @@ Status decode_grad_vector(MsgReader& r, linalg::GradVector& out) {
   if (val_bin.size() != nnz * sizeof(double)) {
     return bad("gradvector: sparse value bin size mismatch");
   }
-  // Re-inserting through set() must never densify: a split-range piece may
-  // legitimately hold nnz above threshold*dim (split pieces keep their
-  // encoding), so the working threshold is raised just far enough while a
-  // within-threshold vector keeps its original config bit-for-bit.
+  // Re-inserting through set() must never densify: the decoded vector keeps
+  // the sparse form the frame carries even when its nnz exceeds
+  // threshold*dim, so the working threshold is raised just far enough while
+  // a within-threshold vector keeps its original config bit-for-bit.
   const double floor_threshold =
       (static_cast<double>(nnz) + 1.0) / static_cast<double>(dim);
   linalg::GradVectorConfig cfg(static_cast<std::size_t>(dim),

@@ -184,6 +184,40 @@ TEST(Coordinator, HasNextNonBlocking) {
   coord.stop();
 }
 
+// A result is queued in the same critical section that drops its task from
+// `outstanding`, so total_outstanding() == 0 && !has_next() means nothing is
+// in flight — the pair AsyncContext::collect's deadlock guard and
+// dispatch_live read. Thousands of back-to-back single tasks with no service
+// floor keep the drain thread racing the reader.
+TEST(Coordinator, QuietPairMeansTheResultIsAlreadyQueued) {
+  engine::Cluster cluster(quiet_config(1));
+  Coordinator coord(cluster);
+  coord.start();
+  constexpr int kTasks = 5000;
+  int early = 0;
+  for (int i = 0; i < kTasks; ++i) {
+    coord.on_dispatch(0, 1, /*version=*/0);
+    cluster.submit(0, int_task(cluster, 0, /*version=*/0, i));
+    bool quiet = false;
+    while (!coord.has_next()) {
+      if (coord.total_outstanding() == 0 && !coord.has_next()) {
+        quiet = true;
+        break;
+      }
+    }
+    auto tagged = coord.try_collect();
+    if (quiet && !tagged.has_value()) {
+      ++early;
+      tagged = coord.collect_for(1000ms);
+    }
+    ASSERT_TRUE(tagged.has_value());
+    EXPECT_EQ(tagged->result.payload.get<int>(), i);
+  }
+  EXPECT_EQ(early, 0) << early << " of " << kTasks
+                      << " results were still in transit when the pair read quiet";
+  coord.stop();
+}
+
 TEST(Coordinator, TotalOutstandingAggregates) {
   engine::Cluster cluster(quiet_config(3));
   Coordinator coord(cluster);

@@ -12,6 +12,7 @@
 #include "optim/payloads.hpp"
 #include "optim/solver_util.hpp"
 #include "optim/workload.hpp"
+#include "reference/per_row.hpp"
 
 namespace asyncml::optim {
 namespace {
@@ -61,8 +62,8 @@ TEST_P(DistributedGradientProperty, EngineGradientMatchesSerialReference) {
   const double fraction = 0.4;
   const GradCount total = engine::aggregate_sync(
       cluster, workload.points.sample(fraction), GradCount{},
-      detail::make_grad_seq(workload.loss, w_br,
-                            linalg::GradVectorConfig(workload.dim())),
+      reference::make_grad_seq(workload.loss, w_br,
+                               linalg::GradVectorConfig(workload.dim())),
       detail::grad_comb(), stage);
 
   // Serial reference: iterate partitions in order with the same task RNG

@@ -15,6 +15,7 @@
 #include "optim/saga.hpp"
 #include "optim/solver_util.hpp"
 #include "optim/workload.hpp"
+#include "reference/per_row.hpp"
 
 namespace asyncml::optim {
 namespace {
@@ -53,8 +54,8 @@ TEST_P(SagaInvariants, VersionTableConsistentAndAlphaBarExact) {
   // Run a handful of SAGA rounds, mirroring SagaSolver's update rule.
   std::vector<linalg::DenseVector> published{w};
   for (int k = 0; k < 12; ++k) {
-    auto seq = detail::make_saga_seq(workload.loss, w_br, table,
-                                     linalg::GradVectorConfig(dim));
+    auto seq = reference::make_saga_seq(workload.loss, w_br, table,
+                                        linalg::GradVectorConfig(dim));
     auto results = ac.sync_round(sampled, GradHist{}, seq, opts);
     GradHist total;
     for (auto& r : results) total = comb(std::move(total), r.result.payload.get<GradHist>());

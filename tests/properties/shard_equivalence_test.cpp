@@ -1,16 +1,13 @@
 // Sharding-invariance property sweep (ISSUE 7 acceptance): the shard count of
 // the model plane is a *layout* knob, not a *math* knob. For the synchronous
 // solvers the trajectory must be bit-identical for S = 1 vs S ∈ {2, 4, 8} at
-// every density — in both combine modes (kDriver's flat partition-ordered
-// fold and kTree's fanout tree are each S-invariant, though the two modes are
-// distinct FP association orders and need not match each other). The async
-// path additionally checks that masked shard fetches actually skip shards on
-// rcv1-like sparsity.
+// every density. The async path additionally checks that masked shard
+// fetches actually skip shards on rcv1-like sparsity.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <tuple>
+#include <string>
 #include <vector>
 
 #include "data/synthetic.hpp"
@@ -31,7 +28,7 @@ data::synthetic::Problem sparse_problem(double density) {
 }
 
 RunResult run_scheduled_sgd(const std::shared_ptr<const data::Dataset>& dataset,
-                            std::uint32_t num_shards, core::CombineMode mode) {
+                            std::uint32_t num_shards) {
   const Workload workload = Workload::create(dataset, 8, make_least_squares());
 
   engine::Cluster::Config cluster_config;
@@ -48,7 +45,6 @@ RunResult run_scheduled_sgd(const std::shared_ptr<const data::Dataset>& dataset,
   config.seed = 23;
   config.step = inverse_decay_step(0.05, 1.0, 0.01);
   config.store_config.num_shards = num_shards;
-  config.combine_mode = mode;
   return ScheduledSgdSolver::run(cluster, workload, config);
 }
 
@@ -83,27 +79,22 @@ RunResult run_asgd(const std::shared_ptr<const data::Dataset>& dataset,
   return result;
 }
 
-using Param = std::tuple<double /*density*/, const char* /*combine*/>;
-
-class ShardEquivalenceSweep : public ::testing::TestWithParam<Param> {};
+class ShardEquivalenceSweep : public ::testing::TestWithParam<double> {};
 
 // Tentpole acceptance: ScheduledSgd trajectories are bit-identical for
-// S = 1 vs S ∈ {2, 4, 8} at every density, in both combine modes.
+// S = 1 vs S ∈ {2, 4, 8} at every density.
 TEST_P(ShardEquivalenceSweep, ScheduledSgdIsBitIdenticalAcrossShardCounts) {
-  const auto [density, combine_name] = GetParam();
-  const core::CombineMode mode = std::string(combine_name) == "tree"
-                                     ? core::CombineMode::kTree
-                                     : core::CombineMode::kDriver;
+  const double density = GetParam();
   const auto problem = sparse_problem(density);
   auto dataset = std::make_shared<const data::Dataset>(problem.dataset);
 
-  const RunResult reference = run_scheduled_sgd(dataset, 1, mode);
+  const RunResult reference = run_scheduled_sgd(dataset, 1);
   ASSERT_EQ(reference.updates, 24u);
 
   for (const std::uint32_t shards : {2u, 4u, 8u}) {
-    const RunResult sharded = run_scheduled_sgd(dataset, shards, mode);
+    const RunResult sharded = run_scheduled_sgd(dataset, shards);
     EXPECT_TRUE(linalg::bitwise_equal(reference.final_w, sharded.final_w))
-        << "S=" << shards << " density=" << density << " mode=" << combine_name;
+        << "S=" << shards << " density=" << density;
     ASSERT_EQ(sharded.trace.size(), reference.trace.size());
     for (std::size_t i = 0; i < reference.trace.size(); ++i) {
       EXPECT_EQ(sharded.trace[i].error, reference.trace[i].error)
@@ -113,15 +104,13 @@ TEST_P(ShardEquivalenceSweep, ScheduledSgdIsBitIdenticalAcrossShardCounts) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    DensitiesTimesCombineModes, ShardEquivalenceSweep,
-    ::testing::Combine(::testing::Values(0.001, 0.01, 0.1, 1.0),
-                       ::testing::Values("driver", "tree")),
-    [](const ::testing::TestParamInfo<Param>& info) {
-      std::string d = std::to_string(std::get<0>(info.param));
+    Densities, ShardEquivalenceSweep, ::testing::Values(0.001, 0.01, 0.1, 1.0),
+    [](const ::testing::TestParamInfo<double>& info) {
+      std::string d = std::to_string(info.param);
       for (char& c : d) {
         if (c == '.') c = 'p';
       }
-      return "density_" + d + "_" + std::get<1>(info.param);
+      return "density_" + d;
     });
 
 // Plain (fixed-placement) SGD never touches the sharded store — its broadcast

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "linalg/grad_vector.hpp"
@@ -158,6 +159,29 @@ TEST(Wire, GradHistPayloadRoundTripsDense) {
   expect_bitwise_equal(payload.get<optim::GradHist>().grad, out.grad);
   expect_bitwise_equal(payload.get<optim::GradHist>().hist, out.hist);
   EXPECT_EQ(encode_payload(decoded.value()).body, enc.body);
+}
+
+// A msgpack bin can start at any byte of a frame, so a dense value bin is
+// rarely 8-aligned: the decoder must copy the doubles out rather than load
+// them through a misaligned pointer (undefined behaviour, which the
+// UBSan build reports).
+TEST(Wire, DenseGradCountDecodesFromAnyByteOffset) {
+  optim::GradCount gc;
+  gc.grad = dense_grad(33);
+  gc.count = 5;
+  const std::size_t modeled = optim::payload_size_bytes(gc);
+  const engine::Payload payload = engine::Payload::wrap(std::move(gc), modeled);
+  const EncodedPayload enc = encode_payload(payload);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    std::vector<std::uint8_t> buffer(offset + enc.body.size());
+    std::memcpy(buffer.data() + offset, enc.body.data(), enc.body.size());
+    const std::span<const std::uint8_t> body(buffer.data() + offset, enc.body.size());
+    auto decoded = decode_payload(enc.kind, body, enc.modeled_bytes, nullptr);
+    ASSERT_TRUE(decoded.is_ok()) << "offset " << offset;
+    const auto& out = decoded.value().get<optim::GradCount>();
+    EXPECT_EQ(out.count, 5u);
+    expect_bitwise_equal(payload.get<optim::GradCount>().grad, out.grad);
+  }
 }
 
 TEST(Wire, ModelDeltaEnvelopeIsCanonicalAndCompressible) {
