@@ -26,6 +26,7 @@
 #include <chrono>
 #include <cstdint>
 #include <iostream>
+#include <utility>
 #include <vector>
 
 #include "harness.hpp"
@@ -75,11 +76,17 @@ engine::TaskResult make_result() {
 
 // A delta-chain envelope: the lz4 path's daily bread.
 std::vector<std::uint8_t> make_delta_envelope() {
+  std::vector<std::pair<std::uint32_t, double>> entries;
+  for (std::uint32_t i = 0; i < kNnz; ++i) {
+    entries.emplace_back((i * 13u) % kDim, 1.0 / (1.0 + static_cast<double>(i % 53)));
+  }
+  std::sort(entries.begin(), entries.end());  // a delta's indices ascend
   store::ModelDelta delta;
   delta.parent = 41;
-  delta.values = linalg::GradVector(linalg::GradVectorConfig(kDim, 0.9, false));
-  for (std::uint32_t i = 0; i < kNnz; ++i) {
-    delta.values.set((i * 13u) % kDim, 1.0 / (1.0 + static_cast<double>(i % 53)));
+  delta.dim = kDim;
+  for (const auto& [index, value] : entries) {
+    delta.indices.push_back(index);
+    delta.values.push_back(value);
   }
   const std::size_t modeled = delta.wire_bytes();
   return transport::encode_payload_envelope(

@@ -149,21 +149,6 @@ void GradVector::scale_into(double a, std::span<double> y) const {
   }
 }
 
-void GradVector::overwrite_into(std::span<double> y) const {
-  assert(y.size() == cfg_.dim);
-  if (dense_mode_) {
-    if (dense_.empty()) {
-      std::fill(y.begin(), y.end(), 0.0);  // dense zero specifies every coord
-    } else {
-      std::copy(dense_.begin(), dense_.end(), y.begin());
-    }
-    return;
-  }
-  for (std::size_t s = 0; s < keys_.size(); ++s) {
-    if (keys_[s] != kEmptyKey) y[keys_[s]] = vals_[s];
-  }
-}
-
 DenseVector GradVector::to_dense() const {
   DenseVector out(cfg_.dim);
   scale_into(1.0, out.span());

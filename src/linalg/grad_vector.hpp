@@ -144,16 +144,11 @@ class GradVector {
 
   /// Sets coordinate `index` to `value` (insert-or-overwrite).  Unlike axpy
   /// this does not accumulate — it is the sparse-assignment primitive the
-  /// delta-versioned model store builds overwrite deltas from.
+  /// wire decoder rebuilds a sparse vector through.
   void set(std::uint32_t index, double value);
 
   /// y += a * this (the apply-update kernel); y.size() must equal dim.
   void scale_into(double a, std::span<double> y) const;
-
-  /// y[i] = value for every stored entry (sparse overwrite — the delta-apply
-  /// kernel; untouched coordinates of y keep their current values when the
-  /// representation is sparse).  A dense representation assigns all of y.
-  void overwrite_into(std::span<double> y) const;
 
   /// Materializes the dense equivalent (dim-sized).
   [[nodiscard]] DenseVector to_dense() const;

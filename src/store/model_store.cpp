@@ -12,6 +12,11 @@
 
 namespace asyncml::store {
 
+namespace {
+/// Coordinates the publish diff compares between densify-limit checks.
+constexpr std::size_t kDiffBlock = 256;
+}  // namespace
+
 ModelStore::ModelStore(engine::BroadcastStore* broadcasts, StoreConfig config)
     : broadcasts_(broadcasts), cfg_(config) {
   assert(broadcasts_ != nullptr);
@@ -57,17 +62,29 @@ engine::BroadcastId ModelStore::publish(const linalg::DenseVector& w,
 
   // Diff into the reused index scratch first and build the delta only once
   // it is known to stay sparse: a densifying publish (every dense-model
-  // update) then allocates nothing but its base snapshot.
-  changed_.clear();
+  // update) then allocates nothing but its base snapshot.  The compare is
+  // branch-free — every index is written and the count advances by the
+  // comparison — because ~10% of a sparse workload's coordinates change, a
+  // rate a data-dependent branch mispredicts on.  `!=` decides what ships:
+  // -0.0 vs 0.0 does not, NaN always does.
+  std::size_t n = 0;
   if (can_delta) {
+    if (changed_.size() < dim) changed_.resize(dim);
     const double limit = kDeltaDensifyThreshold * static_cast<double>(dim);
-    for (std::size_t i = 0; i < dim; ++i) {
-      if (w[i] != prev_[i]) {
-        changed_.push_back(static_cast<std::uint32_t>(i));
-        if (static_cast<double>(changed_.size()) > limit) {
-          densified = true;  // a full snapshot is cheaper; break the chain
-          break;
-        }
+    const double* cur = w.data();
+    const double* old = prev_.data();
+    std::uint32_t* out = changed_.data();
+    for (std::size_t start = 0; start < dim; start += kDiffBlock) {
+      const std::size_t end = std::min(dim, start + kDiffBlock);
+      for (std::size_t i = start; i < end; ++i) {
+        out[n] = static_cast<std::uint32_t>(i);
+        n += static_cast<std::size_t>(cur[i] != old[i]);
+      }
+      // The count only grows, so checking once per block decides exactly
+      // "total changed > limit" while still stopping a dense diff early.
+      if (static_cast<double>(n) > limit) {
+        densified = true;  // a full snapshot is cheaper; break the chain
+        break;
       }
     }
   }
@@ -80,10 +97,11 @@ engine::BroadcastId ModelStore::publish(const linalg::DenseVector& w,
   if (can_delta && !densified) {
     ModelDelta delta;
     delta.parent = prev_version_;
-    // Overwrite deltas must stay sparse; the densify cutoff above fired first.
-    delta.values.ensure(linalg::GradVectorConfig(dim, /*threshold=*/1.01,
-                                                 /*dense_start=*/false));
-    for (const std::uint32_t i : changed_) delta.values.set(i, w[i]);
+    delta.dim = dim;
+    // changed_ is already ascending: copy it and gather the new values.
+    delta.indices.assign(changed_.data(), changed_.data() + n);
+    delta.values.resize(n);
+    for (std::size_t k = 0; k < n; ++k) delta.values[k] = w[delta.indices[k]];
     entry.delta_bytes = delta.wire_bytes();
     entry.delta_id = broadcasts_->put(
         engine::Payload::wrap<ModelDelta>(std::move(delta), entry.delta_bytes));
@@ -117,7 +135,15 @@ engine::BroadcastId ModelStore::publish(const linalg::DenseVector& w,
       restore_anchor_.reset();
     }
   }
-  prev_ = w;
+  if (entry.has_base()) {
+    prev_ = w;
+  } else {
+    // A delta-only publish refreshes just the coordinates it shipped.  Every
+    // other coordinate is value-equal to w (at most the sign of a zero
+    // differs), which `!=` does not ship either, so later diffs pick the
+    // same sets as against a full copy.
+    for (std::size_t k = 0; k < n; ++k) prev_[changed_[k]] = w[changed_[k]];
+  }
   prev_version_ = version;
   has_prev_ = true;
 

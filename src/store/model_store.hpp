@@ -256,11 +256,16 @@ class ModelStore {
   // mutable: the logically-const resolution walk faults lazy entries in from
   // disk (registering their payloads and recording the broadcast ids here).
   mutable std::map<engine::Version, VersionEntry> entries_;
-  linalg::DenseVector prev_;          ///< last published model (diff source)
+  /// Diff source: value-equal to the last published model (a delta-only
+  /// publish refreshes just its shipped coordinates, so an unchanged one may
+  /// keep the other sign of a zero).
+  linalg::DenseVector prev_;
   engine::Version prev_version_ = 0;
   bool has_prev_ = false;
   std::uint32_t since_base_ = 0;      ///< deltas published since the last base
-  std::vector<std::uint32_t> changed_;  ///< publish scratch: coords != prev_
+  /// Publish scratch, dim-sized once: the diff writes the coordinates that
+  /// differ from prev_ into its prefix, ascending.
+  std::vector<std::uint32_t> changed_;
   engine::Version gc_floor_ = 0;
   StoreStats stats_;
   std::int32_t shard_tag_ = -1;

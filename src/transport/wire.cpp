@@ -53,12 +53,18 @@ double read_f64_at(std::span<const std::uint8_t> bin, std::size_t i) {
 // --- GradVector ------------------------------------------------------------
 // [dim, dense?, densify_threshold, start_dense?, bin indices, bin values]
 
-void encode_grad_vector(MsgWriter& w, const linalg::GradVector& g) {
+void begin_grad_vector(MsgWriter& w, std::uint64_t dim, bool dense, double threshold,
+                       bool start_dense) {
   w.begin_array(6);
-  w.write_uint(g.dim());
-  w.write_bool(g.is_dense());
-  w.write_double(g.config().densify_threshold);
-  w.write_bool(g.config().start_dense);
+  w.write_uint(dim);
+  w.write_bool(dense);
+  w.write_double(threshold);
+  w.write_bool(start_dense);
+}
+
+void encode_grad_vector(MsgWriter& w, const linalg::GradVector& g) {
+  begin_grad_vector(w, g.dim(), g.is_dense(), g.config().densify_threshold,
+                    g.config().start_dense);
   if (g.is_dense()) {
     // nnz() is 0 for an untouched dense accumulator (no storage, ships 0
     // bytes) and dim once storage exists; the value bin mirrors that.
@@ -90,83 +96,99 @@ void encode_grad_vector(MsgWriter& w, const linalg::GradVector& g) {
   write_f64_bin(w, values);
 }
 
-Status decode_grad_vector(MsgReader& r, linalg::GradVector& out) {
-  std::size_t arity = 0;
-  if (Status s = r.read_array(arity); !s.is_ok()) return s;
-  if (arity != 6) return bad("gradvector: expected 6-element array");
+// The six fields of a GradVector body, read with the checks every form
+// shares: dim fits the u32 index space, the threshold is finite and >= 0.
+struct GradVectorBody {
   std::uint64_t dim = 0;
   bool dense = false;
   double threshold = 0.0;
   bool start_dense = false;
   std::span<const std::uint8_t> idx_bin;
   std::span<const std::uint8_t> val_bin;
-  if (Status s = r.read_uint(dim); !s.is_ok()) return s;
-  if (Status s = r.read_bool(dense); !s.is_ok()) return s;
-  if (Status s = r.read_double(threshold); !s.is_ok()) return s;
-  if (Status s = r.read_bool(start_dense); !s.is_ok()) return s;
-  if (Status s = r.read_bin(idx_bin); !s.is_ok()) return s;
-  if (Status s = r.read_bin(val_bin); !s.is_ok()) return s;
+};
 
-  if (dim > 0xFFFFFFFFull) return bad("gradvector: dim exceeds u32 index space");
-  if (!std::isfinite(threshold) || threshold < 0.0) {
+Status read_grad_vector_body(MsgReader& r, GradVectorBody& b) {
+  std::size_t arity = 0;
+  if (Status s = r.read_array(arity); !s.is_ok()) return s;
+  if (arity != 6) return bad("gradvector: expected 6-element array");
+  if (Status s = r.read_uint(b.dim); !s.is_ok()) return s;
+  if (Status s = r.read_bool(b.dense); !s.is_ok()) return s;
+  if (Status s = r.read_double(b.threshold); !s.is_ok()) return s;
+  if (Status s = r.read_bool(b.start_dense); !s.is_ok()) return s;
+  if (Status s = r.read_bin(b.idx_bin); !s.is_ok()) return s;
+  if (Status s = r.read_bin(b.val_bin); !s.is_ok()) return s;
+  if (b.dim > 0xFFFFFFFFull) return bad("gradvector: dim exceeds u32 index space");
+  if (!std::isfinite(b.threshold) || b.threshold < 0.0) {
     return bad("gradvector: non-finite densify threshold");
   }
+  return Status::ok();
+}
+
+/// Sparse form: the index bin holds whole u32s and the value bin one f64 per
+/// index. Sets the entry count.
+Status sparse_nnz(const GradVectorBody& b, std::size_t& nnz) {
+  if (b.idx_bin.size() % sizeof(std::uint32_t) != 0) {
+    return bad("gradvector: index bin not a multiple of 4");
+  }
+  nnz = b.idx_bin.size() / sizeof(std::uint32_t);
+  if (b.val_bin.size() != nnz * sizeof(double)) {
+    return bad("gradvector: sparse value bin size mismatch");
+  }
+  return Status::ok();
+}
+
+Status decode_grad_vector(MsgReader& r, linalg::GradVector& out) {
+  GradVectorBody b;
+  if (Status s = read_grad_vector_body(r, b); !s.is_ok()) return s;
+  const auto dim = static_cast<std::size_t>(b.dim);
   if (dim == 0) {
-    if (dense || !idx_bin.empty() || !val_bin.empty()) {
+    if (b.dense || !b.idx_bin.empty() || !b.val_bin.empty()) {
       return bad("gradvector: entries on a zero-dim vector");
     }
     out = linalg::GradVector();
     return Status::ok();
   }
 
-  if (dense) {
-    if (!idx_bin.empty()) return bad("gradvector: dense form carries indices");
-    if (val_bin.empty()) {
+  if (b.dense) {
+    if (!b.idx_bin.empty()) return bad("gradvector: dense form carries indices");
+    if (b.val_bin.empty()) {
       // Untouched dense accumulator: representation is dense with no
       // storage, which only a dense-start config can hold.
-      if (!start_dense) return bad("gradvector: storage-free dense needs start_dense");
-      out = linalg::GradVector(
-          linalg::GradVectorConfig(static_cast<std::size_t>(dim), threshold, true));
+      if (!b.start_dense) return bad("gradvector: storage-free dense needs start_dense");
+      out = linalg::GradVector(linalg::GradVectorConfig(dim, b.threshold, true));
       return Status::ok();
     }
-    if (val_bin.size() != dim * sizeof(double)) {
+    if (b.val_bin.size() != dim * sizeof(double)) {
       return bad("gradvector: dense value bin size mismatch");
     }
     // A msgpack bin can start at any byte offset of the frame: copy the bytes
     // out rather than reading doubles through a misaligned pointer.
-    std::vector<double> values(static_cast<std::size_t>(dim));
-    std::memcpy(values.data(), val_bin.data(), val_bin.size());
-    linalg::GradVector g(
-        linalg::GradVectorConfig(static_cast<std::size_t>(dim), threshold, start_dense));
+    std::vector<double> values(dim);
+    std::memcpy(values.data(), b.val_bin.data(), b.val_bin.size());
+    linalg::GradVector g(linalg::GradVectorConfig(dim, b.threshold, b.start_dense));
     g.assign_dense(values);
     out = std::move(g);
     return Status::ok();
   }
 
-  if (idx_bin.size() % sizeof(std::uint32_t) != 0) {
-    return bad("gradvector: index bin not a multiple of 4");
-  }
-  const std::size_t nnz = idx_bin.size() / sizeof(std::uint32_t);
-  if (val_bin.size() != nnz * sizeof(double)) {
-    return bad("gradvector: sparse value bin size mismatch");
-  }
+  std::size_t nnz = 0;
+  if (Status s = sparse_nnz(b, nnz); !s.is_ok()) return s;
   // Re-inserting through set() must never densify: the decoded vector keeps
   // the sparse form the frame carries even when its nnz exceeds
   // threshold*dim, so the working threshold is raised just far enough while
   // a within-threshold vector keeps its original config bit-for-bit.
   const double floor_threshold =
       (static_cast<double>(nnz) + 1.0) / static_cast<double>(dim);
-  linalg::GradVectorConfig cfg(static_cast<std::size_t>(dim),
-                               std::max(threshold, floor_threshold), false);
+  linalg::GradVectorConfig cfg(dim, std::max(b.threshold, floor_threshold), false);
   cfg.expected_nnz = nnz;
   linalg::GradVector g(cfg);
   std::uint32_t prev = 0;
   for (std::size_t k = 0; k < nnz; ++k) {
-    const std::uint32_t idx = read_u32_at(idx_bin, k);
+    const std::uint32_t idx = read_u32_at(b.idx_bin, k);
     if (idx >= dim) return bad("gradvector: index out of range");
     if (k > 0 && idx <= prev) return bad("gradvector: indices not strictly ascending");
     prev = idx;
-    g.set(idx, read_f64_at(val_bin, k));
+    g.set(idx, read_f64_at(b.val_bin, k));
   }
   out = std::move(g);
   return Status::ok();
@@ -229,21 +251,51 @@ Status decode_grad_hist(MsgReader& r, optim::GradHist& out) {
   return r.read_uint(out.count);
 }
 
+// A ModelDelta body is a sparse GradVector body byte for byte, its threshold
+// slot always the "never densify" 1.01: disk blobs are named by the sha256 of
+// these bytes, so they must not drift (tests/transport/wire_test.cpp pins
+// them). The flat arrays are already ascending, so both directions copy them
+// straight through.
+constexpr double kModelDeltaThreshold = 1.01;
+
 void encode_model_delta(MsgWriter& w, const store::ModelDelta& d) {
   w.begin_array(2);
   w.write_uint(d.parent);
-  encode_grad_vector(w, d.values);
+  begin_grad_vector(w, d.dim, /*dense=*/false, kModelDeltaThreshold,
+                    /*start_dense=*/false);
+  write_u32_bin(w, d.indices);
+  write_f64_bin(w, d.values);
 }
 
+// Accepts exactly the sparse bodies decode_grad_vector accepts.
 Status decode_model_delta(MsgReader& r, store::ModelDelta& out) {
   std::size_t arity = 0;
   if (Status s = r.read_array(arity); !s.is_ok()) return s;
   if (arity != 2) return bad("modeldelta: expected 2-element array");
   std::uint64_t parent = 0;
   if (Status s = r.read_uint(parent); !s.is_ok()) return s;
-  if (Status s = decode_grad_vector(r, out.values); !s.is_ok()) return s;
-  if (out.values.is_dense()) return bad("modeldelta: values must stay sparse");
-  out.parent = parent;
+  GradVectorBody b;
+  if (Status s = read_grad_vector_body(r, b); !s.is_ok()) return s;
+  if (b.dense) return bad("modeldelta: values must stay sparse");
+  std::size_t nnz = 0;
+  if (Status s = sparse_nnz(b, nnz); !s.is_ok()) return s;
+  store::ModelDelta d;
+  d.parent = parent;
+  d.dim = static_cast<std::size_t>(b.dim);
+  // Bins can sit at any byte offset of the frame: copy, never alias.
+  d.indices.resize(nnz);
+  d.values.resize(nnz);
+  if (nnz > 0) {
+    std::memcpy(d.indices.data(), b.idx_bin.data(), b.idx_bin.size());
+    std::memcpy(d.values.data(), b.val_bin.data(), b.val_bin.size());
+  }
+  for (std::size_t k = 0; k < nnz; ++k) {
+    if (d.indices[k] >= d.dim) return bad("modeldelta: index out of range");
+    if (k > 0 && d.indices[k] <= d.indices[k - 1]) {
+      return bad("modeldelta: indices not strictly ascending");
+    }
+  }
+  out = std::move(d);
   return Status::ok();
 }
 

@@ -47,24 +47,21 @@ TEST_P(DeltaDensitySweep, ChainResolutionEqualsDirectlyPublishedModel) {
   // Resolve every version through a fresh worker cache in an adversarial
   // order (newest first, so anchors sit *above* most requests and chains
   // resolve from bases), then re-resolve in ascending order (hits + short
-  // delta hops).  Every materialization must match its golden copy.
+  // delta hops).  Every materialization must match its golden copy bit for
+  // bit: deltas carry assignments, so a chain never rounds.
   VersionedModelCache& cache = store.cache_for(0, &bcache, &metrics);
   for (engine::Version v = kVersions; v-- > 0;) {
-    const linalg::DenseVector& resolved = cache.value_at(v);
-    EXPECT_LT(linalg::max_abs_diff(resolved.span(), golden[v].span()), 1e-12)
+    EXPECT_TRUE(linalg::bitwise_equal(cache.value_at(v), golden[v]))
         << "version " << v << " at density " << update_density;
   }
   for (engine::Version v = 0; v < kVersions; ++v) {
-    const linalg::DenseVector& resolved = cache.value_at(v);
-    EXPECT_LT(linalg::max_abs_diff(resolved.span(), golden[v].span()), 1e-12);
+    EXPECT_TRUE(linalg::bitwise_equal(cache.value_at(v), golden[v])) << "version " << v;
   }
 
   // The driver-side cache resolves identically, without wire traffic.
   const std::uint64_t bytes = metrics.broadcast_bytes.load();
   for (engine::Version v = 0; v < kVersions; v += 7) {
-    EXPECT_LT(linalg::max_abs_diff(store.driver_cache().value_at(v).span(),
-                                   golden[v].span()),
-              1e-12);
+    EXPECT_TRUE(linalg::bitwise_equal(store.driver_cache().value_at(v), golden[v]));
   }
   EXPECT_EQ(metrics.broadcast_bytes.load(), bytes);
 }

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include "store/model_cache.hpp"
 
 namespace asyncml::store {
@@ -240,6 +245,152 @@ TEST(ModelStore, GcOfEverythingForcesNextPublishToBase) {
   w[1] = 1.0;
   store.publish(w, 10);  // must not chain onto a GC'd parent
   EXPECT_EQ(store.entry_of(10)->kind, EntryKind::kBase);
+}
+
+// The publish diff checks the densify limit once per block of coordinates
+// and, after a delta-only publish, refreshes its diff source only where the
+// delta shipped.  These cases run at a dim spanning several blocks with a
+// ragged tail, and check every publish against the set of coordinates that
+// actually changed.
+class PublishDiff : public ::testing::Test {
+ protected:
+  // Three 256-coordinate blocks and a ragged tail; the cutoff 2/3 * 999 is
+  // exactly 666.0, so "more than the cutoff" and "at least" differ.
+  static constexpr std::size_t kDim = 999;
+
+  PublishDiff() : bcache_(&broadcasts_, &net_, &metrics_) { net_.time_scale = 0.0; }
+
+  /// Publishes `w` as the next version and checks the entry against the
+  /// previous publish: a delta entry ships exactly the coordinates where `w`
+  /// differs (by `!=`) from it, with their new values.
+  void publish(const linalg::DenseVector& w) {
+    const auto v = static_cast<engine::Version>(published_.size());
+    store_.publish(w, v);
+    published_.push_back(w);
+    const auto entry = store_.entry_of(v);
+    ASSERT_TRUE(entry.has_value());
+    if (!entry->has_delta()) return;
+    ASSERT_GT(v, 0u);
+    const linalg::DenseVector& prev = published_[v - 1];
+    std::vector<std::uint32_t> changed;
+    for (std::size_t i = 0; i < kDim; ++i) {
+      if (w[i] != prev[i]) changed.push_back(static_cast<std::uint32_t>(i));
+    }
+    const ModelDelta delta = delta_of(v);
+    EXPECT_EQ(delta.parent, v - 1);
+    EXPECT_EQ(delta.dim, kDim);
+    EXPECT_EQ(delta.indices, changed) << "version " << v;
+    ASSERT_EQ(delta.values.size(), delta.indices.size());
+    for (std::size_t k = 0; k < delta.nnz(); ++k) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(delta.values[k]),
+                std::bit_cast<std::uint64_t>(w[delta.indices[k]]));
+    }
+    EXPECT_EQ(entry->delta_bytes, 8u + 12u * changed.size());
+  }
+
+  [[nodiscard]] ModelDelta delta_of(engine::Version v) const {
+    const auto entry = store_.entry_of(v);
+    if (!entry.has_value() || entry->delta_id == 0) {
+      ADD_FAILURE() << "version " << v << " carries no delta";
+      return {};
+    }
+    return broadcasts_.get(entry->delta_id).get<ModelDelta>();
+  }
+
+  [[nodiscard]] EntryKind kind_of(engine::Version v) const {
+    return store_.entry_of(v)->kind;
+  }
+
+  /// Every published version, resolved in ascending order through a worker
+  /// cache (warm v-1 -> v steps), equals the published model bit for bit.
+  void expect_chain_bitwise() {
+    VersionedModelCache& cache = store_.cache_for(0, &bcache_, &metrics_);
+    for (engine::Version v = 0; v < published_.size(); ++v) {
+      EXPECT_TRUE(linalg::bitwise_equal(cache.value_at(v), published_[v])) << "version " << v;
+    }
+  }
+
+  engine::BroadcastStore broadcasts_;
+  ModelStore store_{&broadcasts_};
+  engine::NetworkModel net_;
+  engine::ClusterMetrics metrics_{1};
+  engine::BroadcastCache bcache_;
+  std::vector<linalg::DenseVector> published_;
+};
+
+TEST_F(PublishDiff, CutoffIsExactWhenTheLimitIsCrossedInTheLastBlock) {
+  linalg::DenseVector w = make_model(kDim, 1.0);
+  publish(w);
+  // floor(2/3 * dim) changed coordinates, all in the tail: still a delta.
+  for (std::size_t i = kDim - 666; i < kDim; ++i) w[i] = 2.0;
+  publish(w);
+  EXPECT_EQ(kind_of(1), EntryKind::kDelta);
+  EXPECT_EQ(delta_of(1).nnz(), 666u);
+  // One more, the last crossing the limit at the final coordinate: densifies.
+  for (std::size_t i = kDim - 667; i < kDim; ++i) w[i] = 3.0;
+  publish(w);
+  EXPECT_EQ(kind_of(2), EntryKind::kBase);
+  EXPECT_FALSE(store_.entry_of(2)->has_delta());
+  EXPECT_EQ(store_.stats().bases_published, 2u);
+  EXPECT_EQ(store_.stats().deltas_published, 1u);
+  expect_chain_bitwise();
+}
+
+TEST_F(PublishDiff, FirstAndLastCoordinatesShip) {
+  linalg::DenseVector w = make_model(kDim, 0.25);
+  publish(w);
+  w[0] = -4.0;
+  w[kDim - 1] = 9.5;
+  publish(w);
+  EXPECT_EQ(delta_of(1).indices, (std::vector<std::uint32_t>{0, kDim - 1}));
+  w[kDim - 1] = 0.125;
+  publish(w);
+  EXPECT_EQ(delta_of(2).indices, (std::vector<std::uint32_t>{kDim - 1}));
+  expect_chain_bitwise();
+}
+
+TEST_F(PublishDiff, CoordinateSetBackToItsOlderValueShipsBothTimes) {
+  linalg::DenseVector w = make_model(kDim, 1.0);
+  publish(w);
+  w[300] = 7.0;
+  w[700] = 5.0;
+  publish(w);
+  EXPECT_EQ(delta_of(1).indices, (std::vector<std::uint32_t>{300, 700}));
+  w[300] = 1.0;  // back to version 0's value
+  publish(w);
+  EXPECT_EQ(delta_of(2).indices, (std::vector<std::uint32_t>{300}));
+  w[300] = 7.0;  // and forward again
+  w[700] = 1.0;
+  publish(w);
+  EXPECT_EQ(delta_of(3).indices, (std::vector<std::uint32_t>{300, 700}));
+  expect_chain_bitwise();
+}
+
+TEST_F(PublishDiff, SparseDensifiedSparseKeepsTheDiffSourceRight) {
+  linalg::DenseVector w(kDim);
+  for (std::size_t i = 0; i < kDim; ++i) w[i] = static_cast<double>(i % 7);
+  publish(w);
+  for (std::size_t i = 0; i < kDim; i += 9) w[i] += 1.0;  // sparse
+  publish(w);
+  // Densifies: the diff stops after the block where the count crosses the
+  // cutoff, before coordinates 768..799, which changed too.
+  for (std::size_t i = 0; i < 800; ++i) w[i] -= 0.5;
+  publish(w);
+  w[5] += 2.0;
+  w[850] += 2.0;
+  w[kDim - 1] = std::numeric_limits<double>::quiet_NaN();
+  publish(w);
+  w[5] -= 2.0;
+  w[900] = 3.0;
+  publish(w);  // the NaN ships again: NaN != NaN
+  EXPECT_EQ(kind_of(1), EntryKind::kDelta);
+  EXPECT_EQ(kind_of(2), EntryKind::kBase);
+  EXPECT_FALSE(store_.entry_of(2)->has_delta());
+  EXPECT_EQ(kind_of(3), EntryKind::kDelta);
+  EXPECT_EQ(delta_of(3).indices, (std::vector<std::uint32_t>{5, 850, kDim - 1}));
+  EXPECT_EQ(kind_of(4), EntryKind::kDelta);
+  EXPECT_EQ(delta_of(4).indices, (std::vector<std::uint32_t>{5, 900, kDim - 1}));
+  expect_chain_bitwise();
 }
 
 TEST(ModelStoreDeath, ResolvingGcdVersionAborts) {

@@ -73,9 +73,10 @@ std::vector<std::vector<std::uint8_t>> record_corpus() {
 
   store::ModelDelta delta;
   delta.parent = 6;
-  delta.values = linalg::GradVector(linalg::GradVectorConfig(2048, 0.9, false));
+  delta.dim = 2048;
   for (std::uint32_t i = 0; i < 64; ++i) {
-    delta.values.set(i * 31 + 5, 1.0 / (1.0 + static_cast<double>(i)));
+    delta.indices.push_back(i * 31 + 5);
+    delta.values.push_back(1.0 / (1.0 + static_cast<double>(i)));
   }
   const std::size_t modeled = delta.wire_bytes();
   const auto env = encode_payload_envelope(engine::Payload::wrap(std::move(delta), modeled));

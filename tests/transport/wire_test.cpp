@@ -6,13 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstring>
+#include <limits>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "linalg/grad_vector.hpp"
 #include "optim/payloads.hpp"
 #include "store/model_delta.hpp"
+#include "store/model_store.hpp"
+#include "transport/msgpack.hpp"
 #include "transport/wire.hpp"
 
 namespace asyncml::transport {
@@ -36,6 +41,45 @@ linalg::GradVector dense_grad(std::size_t dim) {
   for (std::size_t i = 0; i < dim; ++i) vals[i] = 0.25 * static_cast<double>(i) - 3.0;
   g.assign_dense(vals);
   return g;
+}
+
+// A delta over strictly ascending `idx` with distinct values.
+store::ModelDelta make_delta(engine::Version parent, std::size_t dim,
+                             std::initializer_list<std::uint32_t> idx) {
+  store::ModelDelta d;
+  d.parent = parent;
+  d.dim = dim;
+  double v = 0.5;
+  for (std::uint32_t i : idx) {
+    d.indices.push_back(i);
+    d.values.push_back(v);
+    v = v * 1.7 + 0.1;
+  }
+  return d;
+}
+
+std::vector<std::uint64_t> bits_of(const std::vector<double>& values) {
+  std::vector<std::uint64_t> out;
+  for (double v : values) out.push_back(std::bit_cast<std::uint64_t>(v));
+  return out;
+}
+
+void expect_bitwise_equal(const store::ModelDelta& a, const store::ModelDelta& b) {
+  EXPECT_EQ(a.parent, b.parent);
+  EXPECT_EQ(a.dim, b.dim);
+  EXPECT_EQ(a.indices, b.indices);
+  EXPECT_EQ(bits_of(a.values), bits_of(b.values));
+  EXPECT_EQ(a.wire_bytes(), b.wire_bytes());
+}
+
+std::string hex_of(const std::vector<std::uint8_t>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (std::uint8_t b : bytes) {
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 0xF]);
+  }
+  return out;
 }
 
 void expect_bitwise_equal(const linalg::GradVector& a, const linalg::GradVector& b) {
@@ -185,21 +229,134 @@ TEST(Wire, DenseGradCountDecodesFromAnyByteOffset) {
 }
 
 TEST(Wire, ModelDeltaEnvelopeIsCanonicalAndCompressible) {
-  store::ModelDelta delta;
-  delta.parent = 12;
-  delta.values = sparse_grad(4096, {9, 4000, 77, 2048, 3, 100});
+  const store::ModelDelta delta = make_delta(12, 4096, {3, 9, 77, 100, 2048, 4000});
   const std::size_t modeled = delta.wire_bytes();
-  const engine::Payload payload = engine::Payload::wrap(std::move(delta), modeled);
+  const engine::Payload payload = engine::Payload::wrap(delta, modeled);
 
   EXPECT_EQ(envelope_frame_kind(payload), FrameKind::kModelDelta);
   const auto env = encode_payload_envelope(payload);
   auto decoded = decode_payload_envelope(env, nullptr);
   ASSERT_TRUE(decoded.is_ok());
   EXPECT_EQ(decoded.value().bytes(), modeled);
-  const auto& out = decoded.value().get<store::ModelDelta>();
-  EXPECT_EQ(out.parent, 12u);
-  expect_bitwise_equal(payload.get<store::ModelDelta>().values, out.values);
+  expect_bitwise_equal(delta, decoded.value().get<store::ModelDelta>());
   EXPECT_EQ(encode_payload_envelope(decoded.value()), env);
+
+  // The flat arrays are copied out of the frame, so a body at any byte
+  // offset decodes without a misaligned load.
+  for (std::size_t offset = 1; offset < 8; ++offset) {
+    std::vector<std::uint8_t> buffer(offset + env.size());
+    std::memcpy(buffer.data() + offset, env.data(), env.size());
+    auto shifted = decode_payload_envelope({buffer.data() + offset, env.size()}, nullptr);
+    ASSERT_TRUE(shifted.is_ok()) << "offset " << offset;
+    expect_bitwise_equal(delta, shifted.value().get<store::ModelDelta>());
+  }
+}
+
+// Frames and disk blob digests of store-built deltas are pinned: these are
+// the envelopes the hash-table ModelDelta encoded for the same publishes.
+// Version 1 ships a -0.0, a NaN and -1e-300; version 2 ships
+// a coordinate set back to its older value and the NaN again, but not the
+// coordinates whose only change is the sign of a zero.
+TEST(Wire, StoreBuiltDeltaEnvelopesKeepTheirBytes) {
+  engine::BroadcastStore broadcasts;
+  store::ModelStore model_store(&broadcasts);
+  linalg::DenseVector w(64);
+  for (std::size_t i = 0; i < w.size(); ++i) w[i] = 0.5 * static_cast<double>(i) - 3.0;
+  model_store.publish(w, 0);
+  w[3] = -0.0;
+  w[17] = 2.75;
+  w[40] += 1.0 / 3.0;
+  w[63] = -1e-300;
+  w[9] = std::numeric_limits<double>::quiet_NaN();
+  const engine::BroadcastId v1 = model_store.publish(w, 1);
+  w[0] = 0.0;
+  w[6] = -0.0;
+  w[3] = 0.0;
+  w[17] = 5.5;
+  const engine::BroadcastId v2 = model_store.publish(w, 2);
+
+  EXPECT_EQ(hex_of(encode_payload_envelope(broadcasts.get(v1))),
+            "930644c44f92009640c2cb3ff028f5c28f5c29c2c414030000000900000011000000"
+            "280000003f000000c4280000000000000080000000000000f87f0000000000000640"
+            "555555555555314059f3f8c21f6ea581");
+  EXPECT_EQ(hex_of(encode_payload_envelope(broadcasts.get(v2))),
+            "93062cc43792019640c2cb3ff028f5c28f5c29c2c40c000000000900000011000000"
+            "c4180000000000000000000000000000f87f0000000000001640");
+}
+
+// One wire slot of a ModelDelta body each; the defaults decode.
+struct DeltaBody {
+  std::size_t arity = 6;
+  std::uint64_t dim = 8;
+  bool dense = false;
+  double threshold = 1.01;
+  std::vector<std::uint32_t> indices = {1, 5};
+  std::vector<double> values = {0.25, -2.0};
+  std::size_t index_bin_bytes = 8;  ///< bytes of `indices` the index bin carries
+};
+
+std::vector<std::uint8_t> delta_envelope(const DeltaBody& d) {
+  MsgWriter body;
+  body.begin_array(2);
+  body.write_uint(4);
+  body.begin_array(d.arity);
+  body.write_uint(d.dim);
+  body.write_bool(d.dense);
+  body.write_double(d.threshold);
+  body.write_bool(false);
+  body.write_bin({reinterpret_cast<const std::uint8_t*>(d.indices.data()), d.index_bin_bytes});
+  body.write_bin({reinterpret_cast<const std::uint8_t*>(d.values.data()),
+                  d.values.size() * sizeof(double)});
+  MsgWriter env;
+  env.begin_array(3);
+  env.write_uint(static_cast<std::uint64_t>(PayloadKind::kModelDelta));
+  env.write_uint(32);
+  env.write_bin(body.bytes());
+  return env.take();
+}
+
+TEST(Wire, ModelDeltaDecodeRejectsEachMalformedBody) {
+  auto accepted = decode_payload_envelope(delta_envelope(DeltaBody{}), nullptr);
+  ASSERT_TRUE(accepted.is_ok()) << accepted.status().to_string();
+  expect_bitwise_equal(accepted.value().get<store::ModelDelta>(),
+                       store::ModelDelta{4, 8, {1, 5}, {0.25, -2.0}});
+
+  const auto rejects = [](const char* what, const DeltaBody& d) {
+    EXPECT_FALSE(decode_payload_envelope(delta_envelope(d), nullptr).is_ok()) << what;
+  };
+  DeltaBody d;
+  d.arity = 5;
+  rejects("5-element body", d);
+  d = {};
+  d.dim = 0x100000000ull;
+  rejects("dim past the u32 index space", d);
+  for (double threshold : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), -0.5}) {
+    d = {};
+    d.threshold = threshold;
+    rejects("non-finite or negative threshold", d);
+  }
+  d = {};
+  d.dense = true;  // a well-formed dense GradVector body
+  d.indices = {};
+  d.index_bin_bytes = 0;
+  d.values.assign(8, 1.0);
+  rejects("dense form", d);
+  d = {};
+  d.index_bin_bytes = 6;
+  rejects("index bin not a multiple of 4", d);
+  d = {};
+  d.values = {0.25};
+  rejects("value bin not 8 bytes per index", d);
+  d = {};
+  d.indices = {1, 8};
+  rejects("index >= dim", d);
+  d = {};
+  d.indices = {5, 5};
+  rejects("repeated index", d);
+  d = {};
+  d.indices = {5, 1};
+  rejects("descending indices", d);
 }
 
 TEST(Wire, DenseVectorEnvelopeIsBase) {
@@ -310,9 +467,7 @@ TEST(Wire, ReencodeMessageIsIdentityForEveryKind) {
   ASSERT_TRUE(r2.is_ok());
   EXPECT_EQ(r2.value(), result_bytes);
 
-  store::ModelDelta delta;
-  delta.parent = 2;
-  delta.values = sparse_grad(512, {100, 5});
+  store::ModelDelta delta = make_delta(2, 512, {5, 100});
   const std::size_t modeled = delta.wire_bytes();
   const auto env = encode_payload_envelope(engine::Payload::wrap(std::move(delta), modeled));
   auto r3 = reencode_message(FrameKind::kModelDelta, env);
