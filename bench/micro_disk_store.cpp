@@ -135,9 +135,8 @@ int main() {
     rec.update_index = cp.update_index;
     rec.model_version = cp.model_version;
     rec.round = cp.round;
-    rec.model_digest = tier->put_payload(payload_of(cp.model)).value();
     rec.counters.assign(cp.counters.begin(), cp.counters.end());
-    if (!tier->append_checkpoint(rec).is_ok()) std::abort();
+    if (!tier->checkpoint(rec, payload_of(cp.model), {}).is_ok()) std::abort();
     const std::string v3_path = ck_dir + "/ckpt_v3";
     if (!optim::save_checkpoint_v3(v3_path, tier->dir(), cp.update_index).is_ok()) {
       std::abort();

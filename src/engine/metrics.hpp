@@ -40,6 +40,31 @@ enum class WireChannel : std::uint8_t {
 
 inline constexpr std::size_t kNumWireChannels = 4;
 
+/// Plain values of every DiskTierMetrics counter at one instant: what
+/// RunResult::disk carries (DiskTierMetrics::snapshot takes it).
+struct DiskTierStats {
+  std::uint64_t blob_writes = 0;
+  std::uint64_t blob_write_bytes = 0;
+  std::uint64_t blob_reads = 0;
+  std::uint64_t blob_read_bytes = 0;
+  std::uint64_t blob_dedup_hits = 0;
+  std::uint64_t lru_hits = 0;
+  std::uint64_t quarantines = 0;
+  std::uint64_t recovery_walks = 0;
+  std::uint64_t bases_republished = 0;
+  std::uint64_t write_retries = 0;
+  std::uint64_t read_retries = 0;
+  std::uint64_t manifest_appends = 0;
+  std::uint64_t faulted_in = 0;
+  std::uint64_t write_ns = 0;
+  std::uint64_t read_ns = 0;
+  std::uint64_t commit_groups = 0;
+  std::uint64_t queue_stalls = 0;
+  std::uint64_t queue_stall_ns = 0;
+
+  bool operator==(const DiskTierStats&) const = default;
+};
+
 /// Counters of the content-addressed disk tier under the model store
 /// (store/disk/, docs/DURABILITY.md). A DiskTier owned by a cluster-attached
 /// store counts into ClusterMetrics::disk; standalone tiers (checkpoint
@@ -58,8 +83,11 @@ struct DiskTierMetrics {
   support::RelaxedCounter read_retries;      ///< transient read-error retries
   support::RelaxedCounter manifest_appends;  ///< manifest records appended
   support::RelaxedCounter faulted_in;        ///< payloads rehydrated from disk into memory
-  support::RelaxedCounter write_ns;          ///< wall time inside blob writes
+  support::RelaxedCounter write_ns;          ///< wall time committing writes (the writer's groups)
   support::RelaxedCounter read_ns;           ///< wall time inside blob reads
+  support::RelaxedCounter commit_groups;     ///< groups the tier writer committed
+  support::RelaxedCounter queue_stalls;      ///< enqueues that waited on a full writer queue
+  support::RelaxedCounter queue_stall_ns;    ///< wall time those enqueues waited
 
   void reset() {
     blob_writes.reset();
@@ -77,6 +105,18 @@ struct DiskTierMetrics {
     faulted_in.reset();
     write_ns.reset();
     read_ns.reset();
+    commit_groups.reset();
+    queue_stalls.reset();
+    queue_stall_ns.reset();
+  }
+
+  [[nodiscard]] DiskTierStats snapshot() const {
+    return {blob_writes.load(),      blob_write_bytes.load(), blob_reads.load(),
+            blob_read_bytes.load(),  blob_dedup_hits.load(),  lru_hits.load(),
+            quarantines.load(),      recovery_walks.load(),   bases_republished.load(),
+            write_retries.load(),    read_retries.load(),     manifest_appends.load(),
+            faulted_in.load(),       write_ns.load(),         read_ns.load(),
+            commit_groups.load(),    queue_stalls.load(),     queue_stall_ns.load()};
   }
 };
 

@@ -1,16 +1,17 @@
 #include "optim/checkpoint.hpp"
 
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <new>
+#include <sstream>
 #include <vector>
 
 #include "engine/payload.hpp"
 #include "store/disk/blob_store.hpp"
 #include "store/disk/manifest.hpp"
 #include "store/store_config.hpp"
+#include "support/file_io.hpp"
 #include "transport/wire.hpp"
 
 namespace asyncml::optim {
@@ -121,6 +122,18 @@ Status read_vectors(std::istream& in, SolverCheckpoint& checkpoint) {
   return Status::ok();
 }
 
+/// Replaces the checkpoint at `path` with `bytes` atomically and durably: a
+/// crash or a failed write mid-save leaves the previous checkpoint intact.
+Status replace_with(const std::string& path, const std::string& bytes) {
+  const Status s = support::replace_file(
+      path, {reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()});
+  if (!s.is_ok()) {
+    return Status(StatusCode::kInternal, "checkpoint: cannot write " + path + ": " +
+                                             s.message());
+  }
+  return Status::ok();
+}
+
 /// Materializes the dense vector stored under `digest`, or nullopt when the
 /// blob is missing/corrupt (the blob store quarantines it) or holds a payload
 /// of an unexpected kind.
@@ -210,9 +223,7 @@ Status save_checkpoint(const std::string& path, const SolverCheckpoint& checkpoi
                     "checkpoint: aux name 'model' is reserved");
     }
   }
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status(StatusCode::kInternal, "checkpoint: cannot create " + path);
-
+  std::ostringstream out;
   out.write(kMagicV2, sizeof(kMagicV2));
   write_u64(out, checkpoint.update_index);
   write_u64(out, checkpoint.model_version);
@@ -227,29 +238,16 @@ Status save_checkpoint(const std::string& path, const SolverCheckpoint& checkpoi
   for (const auto& [name, vec] : checkpoint.aux) {
     write_vector(out, name, vec);
   }
-  if (!out) return Status(StatusCode::kInternal, "checkpoint: write failed");
-  return Status::ok();
+  return replace_with(path, out.str());
 }
 
 Status save_checkpoint_v3(const std::string& path, const std::string& store_dir,
                           std::uint64_t update_index) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return Status(StatusCode::kInternal, "checkpoint: cannot create " + tmp);
-    out.write(kMagicV3, sizeof(kMagicV3));
-    write_name(out, store_dir);
-    write_u64(out, update_index);
-    if (!out) return Status(StatusCode::kInternal, "checkpoint: write failed");
-  }
-  // Atomic pointer flip: a reader sees the old pointer or the new one, never
-  // a torn file (the durable state both point into is append-only anyway).
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    return Status(StatusCode::kInternal, "checkpoint: rename failed: " + ec.message());
-  }
-  return Status::ok();
+  std::ostringstream out;
+  out.write(kMagicV3, sizeof(kMagicV3));
+  write_name(out, store_dir);
+  write_u64(out, update_index);
+  return replace_with(path, out.str());
 }
 
 StatusOr<SolverCheckpoint> load_checkpoint(const std::string& path) {

@@ -65,12 +65,14 @@ struct SolverCheckpoint {
   std::string store_dir;
 };
 
+/// Both writers replace `path` atomically and durably (`<path>.tmp`, fsync,
+/// rename, fsync of the directory): a crash or a failed write mid-save
+/// leaves the previous checkpoint at `path` intact.
 [[nodiscard]] support::Status save_checkpoint(const std::string& path,
                                               const SolverCheckpoint& checkpoint);
 
 /// Writes a v3 pointer checkpoint: `store_dir` (the disk tier holding the
-/// actual state) + the advisory update index, published by atomic rename so a
-/// crash mid-write can never leave a torn pointer at `path`.
+/// actual state) + the advisory update index.
 [[nodiscard]] support::Status save_checkpoint_v3(const std::string& path,
                                                  const std::string& store_dir,
                                                  std::uint64_t update_index);

@@ -58,19 +58,10 @@ struct RunResult {
   };
   std::array<WireChannelStats, engine::kNumWireChannels> wire{};
 
-  /// Durable disk tier under the model store (docs/DURABILITY.md); all zero
+  /// Durable disk tier under the model store (docs/DURABILITY.md): every
+  /// DiskTierMetrics counter, taken after the tier writer drained; all zero
   /// unless SolverConfig::store_config.disk.enabled.
-  struct DiskTierStats {
-    std::uint64_t blob_writes = 0;
-    std::uint64_t blob_write_bytes = 0;
-    std::uint64_t blob_reads = 0;
-    std::uint64_t blob_read_bytes = 0;
-    std::uint64_t lru_hits = 0;
-    std::uint64_t quarantines = 0;
-    std::uint64_t recovery_walks = 0;
-    std::uint64_t manifest_appends = 0;
-  };
-  DiskTierStats disk;
+  engine::DiskTierStats disk;
 
   /// Harvested span telemetry (docs/TELEMETRY.md); null unless the run was
   /// configured with SolverConfig::telemetry.enabled.

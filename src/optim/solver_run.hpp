@@ -149,6 +149,16 @@ class AsyncRun : public RunScope<SolverConfig> {
 
   void start() { RunScope::start(resumed_at); }
 
+  /// RunScope::finish, after the disk tier's writer has committed every
+  /// queued record: wall_ms and RunResult::disk include that work.
+  [[nodiscard]] RunResult finish(std::string algorithm, std::uint64_t updates,
+                                 std::uint64_t tasks) {
+    if (auto* tier = ac.history().sharded_store().disk_tier(); tier != nullptr) {
+      tier->drain();
+    }
+    return RunScope::finish(std::move(algorithm), updates, tasks);
+  }
+
   /// After update `updates` is applied and the version advanced: trace
   /// snapshot, history GC, checkpoint. `floor` (the GC floor) and `aux` (the
   /// checkpoint's solver vectors) are called only when GC or a checkpoint is

@@ -11,6 +11,8 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/async_context.hpp"
 #include "core/history.hpp"
@@ -132,10 +134,7 @@ inline void fill_run_stats(RunResult& r, const engine::ClusterMetrics& m) {
     const auto& w = m.wire(static_cast<engine::WireChannel>(ch));
     r.wire[ch] = {w.frames.load(), w.bytes_sent.load(), w.bytes_received.load()};
   }
-  r.disk = {m.disk.blob_writes.load(),   m.disk.blob_write_bytes.load(),
-            m.disk.blob_reads.load(),    m.disk.blob_read_bytes.load(),
-            m.disk.lru_hits.load(),      m.disk.quarantines.load(),
-            m.disk.recovery_walks.load(), m.disk.manifest_appends.load()};
+  r.disk = m.disk.snapshot();
 }
 
 /// Arms the cluster's span recorder for this run when
@@ -228,10 +227,13 @@ inline void write_checkpoint(const SolverConfig& config, core::AsyncContext& ac,
 
   // With the disk tier live, checkpoint through it (v3): model/aux become
   // content-addressed blobs, the record rides the manifest, and the
-  // checkpoint file shrinks to a pointer. Any step failing (an injected
-  // write fault that exhausts its retries, a full disk) degrades loudly to
-  // the self-contained v2 format — durability of *this* snapshot is
-  // preserved either way.
+  // checkpoint file shrinks to a pointer. The blobs and the record are one
+  // job for the tier's writer, and the checkpoint waits for it: once it is
+  // committed, so is every publish record queued before it, and only then
+  // is the pointer written. Any step failing (an injected write fault that
+  // exhausts its retries, a full disk) degrades loudly to the
+  // self-contained v2 format — durability of *this* snapshot is preserved
+  // either way.
   if (config.store_config.disk.enabled) {
     if (auto* tier = ac.history().sharded_store().disk_tier(); tier != nullptr) {
       store::disk::CheckpointRecord rec;
@@ -239,24 +241,19 @@ inline void write_checkpoint(const SolverConfig& config, core::AsyncContext& ac,
       rec.model_version = cp.model_version;
       rec.round = cp.round;
       rec.counters.assign(cp.counters.begin(), cp.counters.end());
-      bool ok = false;
+      std::vector<std::pair<std::string, engine::Payload>> aux_blobs;
+      for (const auto& [name, vec] : cp.aux) {
+        aux_blobs.emplace_back(
+            name, engine::Payload::wrap<linalg::DenseVector>(vec, vec.size_bytes()));
+      }
       // The checkpointed model is written as its own blob: solvers snapshot
       // *after* advance_version, so `w` is not yet published (and content
       // addressing dedups the write when it is).
-      if (auto digest = tier->put_payload(engine::Payload::wrap<linalg::DenseVector>(
-              cp.model, cp.model.size_bytes()));
-          digest.is_ok()) {
-        rec.model_digest = digest.value();
-        ok = true;
-      }
-      for (const auto& [name, vec] : cp.aux) {
-        if (!ok) break;
-        auto digest = tier->put_payload(
-            engine::Payload::wrap<linalg::DenseVector>(vec, vec.size_bytes()));
-        ok = digest.is_ok();
-        if (ok) rec.aux.emplace_back(name, digest.value());
-      }
-      if (ok) ok = tier->append_checkpoint(rec).is_ok();
+      bool ok = tier->checkpoint(std::move(rec),
+                                 engine::Payload::wrap<linalg::DenseVector>(
+                                     cp.model, cp.model.size_bytes()),
+                                 std::move(aux_blobs))
+                    .is_ok();
       if (ok) {
         ok = save_checkpoint_v3(config.checkpoint_path, tier->dir(), update_index)
                  .is_ok();

@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "store/disk/blob.hpp"
+#include "support/file_io.hpp"
 #include "support/stopwatch.hpp"
 #include "support/thread_util.hpp"
 
@@ -22,39 +23,6 @@ using support::StatusCode;
 using support::StatusOr;
 
 namespace {
-
-/// Writes `bytes` to `path` (O_TRUNC), optionally fsyncing before close.
-Status write_file(const std::string& path, std::span<const std::uint8_t> bytes,
-                  bool do_fsync) {
-  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    return Status(StatusCode::kUnavailable,
-                  "blob_store: open " + path + ": " + std::strerror(errno));
-  }
-  std::size_t written = 0;
-  while (written < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + written, bytes.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const int err = errno;
-      ::close(fd);
-      return Status(StatusCode::kUnavailable,
-                    "blob_store: write " + path + ": " + std::strerror(err));
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  if (do_fsync && ::fsync(fd) != 0) {
-    const int err = errno;
-    ::close(fd);
-    return Status(StatusCode::kUnavailable,
-                  "blob_store: fsync " + path + ": " + std::strerror(err));
-  }
-  if (::close(fd) != 0) {
-    return Status(StatusCode::kUnavailable,
-                  "blob_store: close " + path + ": " + std::strerror(errno));
-  }
-  return Status::ok();
-}
 
 StatusOr<std::vector<std::uint8_t>> read_file(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY);
@@ -111,9 +79,29 @@ bool BlobStore::contains(const Sha256Digest& digest) const {
   return fs::exists(object_path(digest), ec);
 }
 
-Status BlobStore::write_object(const Sha256Digest& digest,
-                               std::span<const std::uint8_t> payload,
-                               engine::DiskWriteFault fault) {
+BlobStore::Batch::~Batch() {
+  for (const Staged& b : staged_) {
+    if (b.fd >= 0) ::close(b.fd);
+    std::error_code ec;
+    fs::remove(b.tmp, ec);
+  }
+}
+
+bool BlobStore::Batch::failed(const Sha256Digest& digest) const {
+  return std::find(failed_.begin(), failed_.end(), digest) != failed_.end();
+}
+
+std::optional<std::size_t> BlobStore::Batch::staged_bytes(
+    const Sha256Digest& digest) const {
+  for (auto it = staged_.rbegin(); it != staged_.rend(); ++it) {
+    if (it->digest == digest) return it->file_bytes;
+  }
+  return std::nullopt;
+}
+
+Status BlobStore::stage_file(Batch& batch, const Sha256Digest& digest,
+                             std::span<const std::uint8_t> payload,
+                             engine::DiskWriteFault fault) {
   std::vector<std::uint8_t> file = encode_blob(payload);
   if (fault == engine::DiskWriteFault::kCorrupt && !payload.empty()) {
     // One payload bit flipped after the header CRC was computed: the file
@@ -137,34 +125,39 @@ Status BlobStore::write_object(const Sha256Digest& digest,
        (support::sha256_hex(digest) + "." + std::to_string(::getpid()) + "." +
         std::to_string(seq)))
           .string();
-  if (Status s = write_file(tmp, file, cfg_.fsync); !s.is_ok()) {
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) {
+    return Status(StatusCode::kUnavailable,
+                  "blob_store: open " + tmp + ": " + std::strerror(errno));
+  }
+  if (Status s = support::write_all(fd, file, tmp); !s.is_ok()) {
+    ::close(fd);
     std::error_code ec;
     fs::remove(tmp, ec);
     return s;
   }
-  std::error_code ec;
-  fs::rename(tmp, object_path(digest), ec);
-  if (ec) {
-    fs::remove(tmp, ec);
-    return Status(StatusCode::kUnavailable, "blob_store: rename: " + ec.message());
-  }
+  batch.staged_.push_back(Batch::Staged{digest, tmp, fd, file.size(), payload.size()});
   return Status::ok();
 }
 
-StatusOr<Sha256Digest> BlobStore::put(std::span<const std::uint8_t> payload) {
-  const support::Stopwatch timer;
+StatusOr<Sha256Digest> BlobStore::stage(Batch& batch,
+                                        std::span<const std::uint8_t> payload) {
   const Sha256Digest digest = support::sha256(payload);
 
-  // Content addressing makes the write idempotent: an existing object of the
-  // right size already IS this payload (a size mismatch means a torn earlier
-  // write — fall through and rewrite it).
-  {
+  // Content addressing makes the write idempotent: an object of the right
+  // size already IS this payload (a size mismatch means a torn earlier
+  // write — fall through and rewrite it). A copy staged earlier in the batch
+  // stands for the object its rename will name.
+  const std::size_t file_bytes = kBlobHeaderBytes + payload.size();
+  std::optional<std::size_t> existing = batch.staged_bytes(digest);
+  if (!existing.has_value()) {
     std::error_code ec;
     const auto size = fs::file_size(object_path(digest), ec);
-    if (!ec && size == kBlobHeaderBytes + payload.size()) {
-      if (metrics_ != nullptr) metrics_->blob_dedup_hits.add(1);
-      return digest;
-    }
+    if (!ec) existing = size;
+  }
+  if (existing == file_bytes) {
+    if (metrics_ != nullptr) metrics_->blob_dedup_hits.add(1);
+    return digest;
   }
 
   Status last = Status::ok();
@@ -181,18 +174,59 @@ StatusOr<Sha256Digest> BlobStore::put(std::span<const std::uint8_t> payload) {
       last = Status(StatusCode::kUnavailable, "blob_store: injected write failure");
       continue;
     }
-    last = write_object(digest, payload, fault);
-    if (last.is_ok()) {
-      if (metrics_ != nullptr) {
-        metrics_->blob_writes.add(1);
-        metrics_->blob_write_bytes.add(payload.size());
-        metrics_->write_ns.add(
-            static_cast<std::uint64_t>(timer.elapsed().count()));
-      }
-      return digest;
-    }
+    last = stage_file(batch, digest, payload, fault);
+    if (last.is_ok()) return digest;
   }
   return last;
+}
+
+void BlobStore::commit(Batch& batch) {
+  batch.failed_.clear();
+  bool renamed = false;
+  for (Batch::Staged& b : batch.staged_) {
+    bool ok = !cfg_.fsync || ::fsync(b.fd) == 0;
+    ok = ::close(b.fd) == 0 && ok;
+    b.fd = -1;
+    std::error_code ec;
+    if (ok) {
+      fs::rename(b.tmp, object_path(b.digest), ec);
+      ok = !ec;
+    }
+    if (!ok) {
+      fs::remove(b.tmp, ec);
+      batch.failed_.push_back(b.digest);
+      continue;
+    }
+    renamed = true;
+    if (metrics_ != nullptr) {
+      metrics_->blob_writes.add(1);
+      metrics_->blob_write_bytes.add(b.payload_bytes);
+    }
+  }
+  // One directory sync makes every rename above durable; without it a power
+  // loss could drop a name that the manifest record written next relies on.
+  if (renamed && cfg_.fsync &&
+      !support::sync_dir((fs::path(root_) / "objects").string()).is_ok()) {
+    for (const Batch::Staged& b : batch.staged_) batch.failed_.push_back(b.digest);
+  }
+  batch.staged_.clear();
+}
+
+StatusOr<Sha256Digest> BlobStore::put(std::span<const std::uint8_t> payload) {
+  const support::Stopwatch timer;
+  Batch batch;
+  auto digest = stage(batch, payload);
+  if (!digest.is_ok()) return digest;
+  commit(batch);
+  if (batch.failed(digest.value())) {
+    return Status(StatusCode::kUnavailable,
+                  "blob_store: commit of " + support::sha256_hex(digest.value()) +
+                      " failed");
+  }
+  if (metrics_ != nullptr) {
+    metrics_->write_ns.add(static_cast<std::uint64_t>(timer.elapsed().count()));
+  }
+  return digest;
 }
 
 void BlobStore::quarantine(const Sha256Digest& digest) {

@@ -5,15 +5,18 @@
 // Layout under the root directory:
 //
 //   objects/<sha256-hex>   published blobs (blob.hpp format)
-//   tmp/                   in-flight writes; publish = fsync + atomic rename
+//   tmp/                   staged writes; commit = fsync + atomic rename
 //   quarantine/<hex>[.n]   blobs that failed an integrity check on read
 //
-// put() is crash-safe by construction: the blob is staged in tmp/ and only
-// an atomic rename makes it visible under objects/, so a reader never
-// observes a partially written object *name* (a torn write that loses the
-// fsync race is exactly what the header CRC + hash verification on read
-// catch).  Content addressing makes writes idempotent: an existing object of
-// the right size is a free dedup hit.
+// Writes go in batches, one per commit group of the tier writer: stage()
+// writes each blob into tmp/, and commit() fsyncs every staged file, renames
+// it into objects/, then fsyncs objects/ once. A reader therefore never
+// observes a partially written object *name*, and a name that a later
+// manifest record relies on is durable before that record is written (a
+// torn write that loses the fsync race is exactly what the header CRC +
+// hash verification on read catch). Content addressing makes writes
+// idempotent: an object of the right size already named under objects/, or
+// staged earlier in the same batch, is a free dedup hit.
 //
 // get() verifies header CRC and the sha256 content address on every read; a
 // corrupt or truncated blob is moved into quarantine/ (kept for post-mortem,
@@ -28,6 +31,7 @@
 
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -51,11 +55,52 @@ class BlobStore {
   BlobStore(const BlobStore&) = delete;
   BlobStore& operator=(const BlobStore&) = delete;
 
+  /// The blobs of one commit: staged into tmp/ by stage(), made durable and
+  /// named under objects/ together by commit(). A batch destroyed
+  /// uncommitted removes its staged files.
+  class Batch {
+   public:
+    Batch() = default;
+    ~Batch();
+    Batch(const Batch&) = delete;
+    Batch& operator=(const Batch&) = delete;
+
+    /// True when `digest` was staged but did not become durable under
+    /// objects/ at the last commit().
+    [[nodiscard]] bool failed(const support::Sha256Digest& digest) const;
+
+   private:
+    friend class BlobStore;
+    struct Staged {
+      support::Sha256Digest digest{};
+      std::string tmp;
+      int fd = -1;
+      std::size_t file_bytes = 0;
+      std::size_t payload_bytes = 0;
+    };
+    /// File size of the newest staged copy of `digest`, if any.
+    [[nodiscard]] std::optional<std::size_t> staged_bytes(
+        const support::Sha256Digest& digest) const;
+
+    std::vector<Staged> staged_;
+    std::vector<support::Sha256Digest> failed_;
+  };
+
   /// Creates objects/, tmp/, and quarantine/ under the root.
   [[nodiscard]] support::Status init();
 
-  /// Publishes `payload` and returns its content address. Idempotent;
-  /// kUnavailable after max_attempts transient failures.
+  /// Hashes `payload` and stages it into `batch`, unless it is a dedup hit.
+  /// Transient failures are retried; kUnavailable after max_attempts.
+  [[nodiscard]] support::StatusOr<support::Sha256Digest> stage(
+      Batch& batch, std::span<const std::uint8_t> payload);
+
+  /// Makes `batch` durable: fsyncs each staged file, renames it into
+  /// objects/, then fsyncs objects/ once (no syncs with fsync off). A blob
+  /// whose sync or rename fails is reported by batch.failed(); a failed
+  /// directory sync fails every blob of the batch.
+  void commit(Batch& batch);
+
+  /// Stage plus commit of one blob; returns its content address.
   [[nodiscard]] support::StatusOr<support::Sha256Digest> put(
       std::span<const std::uint8_t> payload);
 
@@ -75,10 +120,12 @@ class BlobStore {
   /// quarantined copy of the same digest).
   void quarantine(const support::Sha256Digest& digest);
 
-  /// One write attempt; `fault` mutates the file image per the seam.
-  [[nodiscard]] support::Status write_object(const support::Sha256Digest& digest,
-                                             std::span<const std::uint8_t> payload,
-                                             engine::DiskWriteFault fault);
+  /// One write attempt into tmp/; `fault` mutates the file image per the
+  /// seam. The staged file stays open in `batch` until commit().
+  [[nodiscard]] support::Status stage_file(Batch& batch,
+                                           const support::Sha256Digest& digest,
+                                           std::span<const std::uint8_t> payload,
+                                           engine::DiskWriteFault fault);
 
   std::string root_;
   DiskTierConfig cfg_;

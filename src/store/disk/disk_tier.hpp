@@ -6,10 +6,26 @@
 // manifest (naming) and a byte-budgeted in-memory LRU above both.  The model
 // plane talks to it in payload terms:
 //
-//   put_payload    engine::Payload -> envelope bytes -> blob, LRU-inserted
-//   fetch_payload  digest -> LRU hit | blob read -> decoded Payload
+//   publish / gc_floor   queue a manifest record (and the payloads it names)
+//   checkpoint           commit a checkpoint record and its blobs, and wait
+//   put_payload          commit one blob, and wait
+//   fetch_payload        digest -> LRU hit | blob read -> decoded Payload
 //
-// plus manifest appends for publishes, GC floors, and solver checkpoints.
+// One writer thread owns every tier write. It starts when the tier opens;
+// callers only queue the payload handles (shared, so nothing is copied and a
+// GC erase cannot free a queued payload) and the record fields. Each time
+// the writer wakes it commits everything queued as one group:
+//
+//   1. encode, hash, dedup-check and stage every blob into tmp/;
+//   2. fsync each staged file, then rename it into objects/;
+//   3. fsync objects/ once;
+//   4. append the group's records with one write, then fsync MANIFEST once.
+//
+// A record therefore never names a blob that is not durable and named, and
+// records commit in exactly the order they were queued. A blob that
+// exhausts its retries drops only its own record. The queue holds at most
+// kQueueRecords jobs; a caller that finds it full blocks, and the wait is
+// counted (DiskTierMetrics::queue_stalls / queue_stall_ns).
 //
 // Open modes:
 //   kFresh   a new run: any existing MANIFEST is rotated aside (manifest.old.N)
@@ -19,16 +35,20 @@
 //            tolerated), truncated to its intact prefix, and `restored()`
 //            exposes the replayed state for the store/solver to anchor on.
 //
-// Thread-safety: put_payload/fetch_payload are safe from any thread (the LRU
-// has its own mutex, the blob store is internally synchronized); append_* are
-// driver-thread operations like ModelStore::publish.
+// Thread-safety: every method is safe from any thread; the LRU has its own
+// mutex, and writes are serialized by the writer. The destructor commits
+// everything still queued, then joins the writer.
 
+#include <condition_variable>
 #include <cstdint>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <unordered_map>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "engine/fault.hpp"
@@ -57,11 +77,33 @@ class DiskTier {
       engine::DiskTierMetrics* metrics = nullptr,
       engine::FaultState* faults = nullptr);
 
+  /// Jobs the writer queue holds before a caller blocks.
+  static constexpr std::size_t kQueueRecords = 64;
+
+  ~DiskTier();
   DiskTier(const DiskTier&) = delete;
   DiskTier& operator=(const DiskTier&) = delete;
 
-  /// Envelope-encodes `payload` and publishes it as a blob. The bytes also
-  /// enter the LRU so an immediate fault-in is a memory hit.
+  /// Queues the publish record `record` (shard, version, parent and byte
+  /// counts) with the payloads it names; an empty payload means the version
+  /// has none of that kind, and the record's flags follow. The writer fills
+  /// the digests. Returns once queued. A failed blob drops the record, with
+  /// a stderr line.
+  void publish(PublishRecord record, engine::Payload base, engine::Payload delta);
+
+  /// Queues a gc_floor record.
+  void gc_floor(std::uint32_t shard, std::uint64_t floor);
+
+  /// Commits a checkpoint record with its model and named aux blobs, and
+  /// waits. The writer fills record.model_digest and record.aux. OK means
+  /// the record, and every record queued before it, is durable.
+  [[nodiscard]] support::Status checkpoint(
+      CheckpointRecord record, engine::Payload model,
+      std::vector<std::pair<std::string, engine::Payload>> aux);
+
+  /// Envelope-encodes `payload` and commits it as a blob (no record), and
+  /// waits. The bytes also enter the LRU so an immediate fault-in is a
+  /// memory hit.
   [[nodiscard]] support::StatusOr<support::Sha256Digest> put_payload(
       const engine::Payload& payload);
 
@@ -70,12 +112,8 @@ class DiskTier {
   [[nodiscard]] support::StatusOr<engine::Payload> fetch_payload(
       const support::Sha256Digest& digest);
 
-  /// Manifest appends (driver thread). Failures are returned, not fatal: a
-  /// run degrades to in-memory when the log cannot be extended.
-  [[nodiscard]] support::Status append_publish(const PublishRecord& record);
-  [[nodiscard]] support::Status append_gc_floor(std::uint32_t shard,
-                                                std::uint64_t floor);
-  [[nodiscard]] support::Status append_checkpoint(const CheckpointRecord& record);
+  /// Waits until everything queued so far is committed (or dropped).
+  void drain();
 
   /// Manifest state replayed at open (empty in kFresh mode).
   [[nodiscard]] const ManifestState& restored() const noexcept { return restored_; }
@@ -90,6 +128,34 @@ class DiskTier {
            engine::FaultState* faults);
 
   [[nodiscard]] support::Status init(OpenMode mode);
+
+  // -- the writer ------------------------------------------------------------
+  struct GcFloor {
+    std::uint32_t shard = 0;
+    std::uint64_t floor = 0;
+  };
+  /// What a waiting caller learns about its job.
+  struct Outcome {
+    support::Status status = support::Status::ok();
+    support::Sha256Digest digest{};  ///< the first blob's address
+  };
+  /// One queued record (none for a bare put_payload) and the payloads it
+  /// names, in the order of the record's digest fields.
+  struct Job {
+    std::variant<std::monostate, PublishRecord, GcFloor, CheckpointRecord> record;
+    std::vector<engine::Payload> blobs;
+    std::shared_ptr<Outcome> outcome;  ///< set when the caller waits
+  };
+
+  /// Queues `job`, blocking while the queue is full; returns its sequence
+  /// number for wait_committed.
+  std::uint64_t enqueue(Job job);
+  void wait_committed(std::uint64_t seq);
+  /// Queues `job` and waits for its outcome.
+  [[nodiscard]] Outcome commit_and_wait(Job job);
+  void writer_loop();
+  /// Steps 1–4 of the commit protocol (header comment) for one group.
+  void commit_group(std::vector<Job>& group);
 
   // -- LRU over decoded-envelope bytes, keyed by content digest ------------
   struct DigestHash {
@@ -118,11 +184,21 @@ class DiskTier {
   ManifestWriter manifest_;
   ManifestState restored_;
 
+  std::mutex queue_mutex_;
+  std::condition_variable work_cv_;      ///< writer: a job arrived, or stop
+  std::condition_variable progress_cv_;  ///< callers: the queue drained or a group committed
+  std::vector<Job> queue_;
+  std::uint64_t queued_seq_ = 0;     ///< jobs ever queued
+  std::uint64_t committed_seq_ = 0;  ///< jobs whose group has committed
+  bool stopping_ = false;
+
   std::mutex lru_mutex_;
   std::list<LruEntry> lru_;  ///< front = most recent
   std::unordered_map<support::Sha256Digest, std::list<LruEntry>::iterator, DigestHash>
       lru_index_;
   std::size_t lru_bytes_ = 0;
+
+  std::thread writer_;  ///< last: it uses every member above
 };
 
 }  // namespace asyncml::store::disk

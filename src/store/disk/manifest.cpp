@@ -7,6 +7,7 @@
 #include <cstring>
 
 #include "support/crc32.hpp"
+#include "support/file_io.hpp"
 
 namespace asyncml::store::disk {
 
@@ -301,20 +302,11 @@ Status ManifestWriter::open(const std::string& path, std::uint64_t truncate_to,
   return Status::ok();
 }
 
-Status ManifestWriter::append(std::span<const std::uint8_t> record) {
+Status ManifestWriter::append(std::span<const std::uint8_t> records) {
   if (fd_ < 0) {
     return Status(StatusCode::kFailedPrecondition, "manifest: writer not open");
   }
-  std::size_t written = 0;
-  while (written < record.size()) {
-    const ssize_t n = ::write(fd_, record.data() + written, record.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status(StatusCode::kUnavailable,
-                    std::string("manifest: append: ") + std::strerror(errno));
-    }
-    written += static_cast<std::size_t>(n);
-  }
+  if (Status s = support::write_all(fd_, records, "MANIFEST"); !s.is_ok()) return s;
   if (fsync_ && ::fsync(fd_) != 0) {
     return Status(StatusCode::kUnavailable,
                   std::string("manifest: fsync: ") + std::strerror(errno));

@@ -118,8 +118,10 @@ class ManifestWriter {
   [[nodiscard]] support::Status open(const std::string& path,
                                      std::uint64_t truncate_to, bool do_fsync);
 
-  /// Appends one encoded record (encode_*_record output), fsyncing per `open`.
-  [[nodiscard]] support::Status append(std::span<const std::uint8_t> record);
+  /// Appends encoded records (encode_*_record outputs, back to back) with
+  /// one write(2), then fsyncs per `open`: the tier writer appends a whole
+  /// commit group at once.
+  [[nodiscard]] support::Status append(std::span<const std::uint8_t> records);
 
   void close();
   [[nodiscard]] bool is_open() const noexcept { return fd_ >= 0; }

@@ -92,6 +92,8 @@ engine::BroadcastId ModelStore::publish(const linalg::DenseVector& w,
   VersionEntry entry;
   // A densified entry still records its would-be parent (the manifest keeps it).
   entry.parent = can_delta ? prev_version_ : 0;
+  engine::Payload delta_payload;
+  engine::Payload base_payload;
   // The delta twin ships whenever it stayed sparse — also alongside a
   // scheduled base, so warm workers ride the chain straight through it.
   if (can_delta && !densified) {
@@ -103,13 +105,13 @@ engine::BroadcastId ModelStore::publish(const linalg::DenseVector& w,
     delta.values.resize(n);
     for (std::size_t k = 0; k < n; ++k) delta.values[k] = w[delta.indices[k]];
     entry.delta_bytes = delta.wire_bytes();
-    entry.delta_id = broadcasts_->put(
-        engine::Payload::wrap<ModelDelta>(std::move(delta), entry.delta_bytes));
+    delta_payload = engine::Payload::wrap<ModelDelta>(std::move(delta), entry.delta_bytes);
+    entry.delta_id = broadcasts_->put(delta_payload);
   }
   if (!can_delta || densified || scheduled_base) {
     entry.base_bytes = w.size_bytes();
-    entry.base_id = broadcasts_->put(
-        engine::Payload::wrap<linalg::DenseVector>(w, entry.base_bytes));
+    base_payload = engine::Payload::wrap<linalg::DenseVector>(w, entry.base_bytes);
+    entry.base_id = broadcasts_->put(base_payload);
     since_base_ = 0;
   } else {
     since_base_ += 1;
@@ -158,50 +160,18 @@ engine::BroadcastId ModelStore::publish(const linalg::DenseVector& w,
   }
 
   if (tier_ != nullptr) {
-    // Write-through AFTER the in-memory commit: the live run never waits on
-    // or reads from disk, so trajectories are bit-identical with the tier on
-    // or off. A write failure degrades durability (the manifest simply lacks
-    // this version), never correctness.
+    // Queued AFTER the in-memory commit, to the tier's writer thread: the
+    // live run never waits on or reads from disk, so trajectories are
+    // bit-identical with the tier on or off. The queued handles keep the
+    // payloads alive whatever GC erases meanwhile. A failed write drops this
+    // version's record (durability degrades, never correctness).
     disk::PublishRecord rec;
     rec.shard = manifest_shard_;
     rec.version = version;
     rec.parent = entry.parent;
-    bool complete = true;
-    if (entry.base_id != 0) {
-      auto digest = tier_->put_payload(broadcasts_->get(entry.base_id));
-      if (digest.is_ok()) {
-        rec.has_base = true;
-        rec.base_digest = digest.value();
-        rec.base_bytes = entry.base_bytes;
-      } else {
-        complete = false;
-      }
-    }
-    if (entry.delta_id != 0) {
-      auto digest = tier_->put_payload(broadcasts_->get(entry.delta_id));
-      if (digest.is_ok()) {
-        rec.has_delta = true;
-        rec.delta_digest = digest.value();
-        rec.delta_bytes = entry.delta_bytes;
-      } else {
-        complete = false;
-      }
-    }
-    support::Status appended = support::Status::ok();
-    if (complete) appended = tier_->append_publish(rec);
-    if (!complete || !appended.is_ok()) {
-      std::fprintf(stderr,
-                   "ModelStore: disk write-through of version %llu failed "
-                   "(%s); continuing in-memory\n",
-                   static_cast<unsigned long long>(version),
-                   appended.is_ok() ? "blob write" : appended.to_string().c_str());
-    } else {
-      std::lock_guard lock(mutex_);
-      if (const auto it = entries_.find(version); it != entries_.end()) {
-        it->second.base_hash = rec.base_digest;
-        it->second.delta_hash = rec.delta_digest;
-      }
-    }
+    rec.base_bytes = entry.base_bytes;
+    rec.delta_bytes = entry.delta_bytes;
+    tier_->publish(rec, std::move(base_payload), std::move(delta_payload));
   }
   return entry.has_base() ? entry.base_id : entry.delta_id;
 }
@@ -551,15 +521,7 @@ void ModelStore::gc_below(engine::Version min_version) {
   }
   // The durable floor record makes the retained range self-describing: a
   // restart re-derives its GC bound from the manifest, never from replay.
-  if (tier_ != nullptr && floor_advanced) {
-    if (support::Status s = tier_->append_gc_floor(manifest_shard_, min_version);
-        !s.is_ok()) {
-      std::fprintf(stderr,
-                   "ModelStore: gc-floor manifest append failed (%s); "
-                   "continuing in-memory\n",
-                   s.to_string().c_str());
-    }
-  }
+  if (tier_ != nullptr && floor_advanced) tier_->gc_floor(manifest_shard_, min_version);
 }
 
 VersionedModelCache& ModelStore::cache_for(engine::WorkerId worker,

@@ -67,8 +67,10 @@ enum class EntryKind : std::uint8_t { kBase, kDelta };
 ///
 /// With a disk tier attached, a payload can exist in two places: registered
 /// with the BroadcastStore (id != 0) and/or durable under a content address
-/// (hash != 0).  A restored entry starts lazy — hash set, id 0 — and the
-/// resolution walk faults the blob in on first use (docs/DURABILITY.md).
+/// (hash != 0).  Only restore_from_manifest sets a hash: a live entry always
+/// holds its broadcast ids, while a restored entry starts lazy — hash set,
+/// id 0 — and the resolution walk faults the blob in on first use
+/// (docs/DURABILITY.md).
 struct VersionEntry {
   /// Primary representation: kBase whenever a snapshot exists.
   EntryKind kind = EntryKind::kBase;
@@ -188,10 +190,11 @@ class ModelStore {
 
   // -- durable disk tier (docs/DURABILITY.md) --------------------------------
 
-  /// Attaches the durable tier: every publish writes through to it (snapshot
-  /// and delta blobs + a manifest record under `manifest_shard`) and the
-  /// resolution walk faults lazy entries in from it.  The tier is shared
-  /// across shards and outlives the store; call before the first publish.
+  /// Attaches the durable tier: every publish queues its snapshot and delta
+  /// payloads and a manifest record under `manifest_shard` to the tier's
+  /// writer thread, and the resolution walk faults lazy entries in from it.
+  /// The tier is shared across shards and outlives the store; call before
+  /// the first publish.
   void attach_disk(disk::DiskTier* tier, std::uint32_t manifest_shard);
 
   /// Rebuilds the version map from replayed manifest records: each record

@@ -15,7 +15,7 @@ struct DiskTierConfig {
   bool enabled = false;
 
   /// Root directory of the tier: `objects/` (sha256-named blobs), `tmp/`
-  /// (in-flight writes, published by atomic rename), `quarantine/` (blobs
+  /// (staged writes, published by atomic rename), `quarantine/` (blobs
   /// that failed their integrity check), and the append-only `MANIFEST`.
   std::string dir;
 
@@ -31,9 +31,11 @@ struct DiskTierConfig {
   /// Base backoff between attempts, doubled each retry.
   double retry_backoff_ms = 0.5;
 
-  /// fsync blobs before the publishing rename and the manifest after each
-  /// append. Off trades crash-safety of the last few records for speed
-  /// (docs/DURABILITY.md §atomicity); tests keep it on.
+  /// Every sync of the tier writer's commit protocol: each staged blob
+  /// before its rename, `objects/` and the manifest once per commit group,
+  /// and the tier root after open creates or rotates the manifest. Off
+  /// skips them all, trading crash-safety of the last few records for speed
+  /// (docs/DURABILITY.md §atomicity).
   bool fsync = true;
 };
 
@@ -58,9 +60,10 @@ struct StoreConfig {
   /// trajectory is bit-exact with pre-sharding builds.  docs/SHARDING.md.
   std::uint32_t num_shards = 1;
 
-  /// Durable disk tier beneath the store. Write-through + read-fault-in only:
-  /// a live run never *reads* from disk, so trajectories are bit-identical
-  /// with the tier on or off; restores and cold joiners anchor on it.
+  /// Durable disk tier beneath the store. Queued writes + read-fault-in
+  /// only: a live run never *reads* from disk, so trajectories are
+  /// bit-identical with the tier on or off; restores and cold joiners
+  /// anchor on it.
   DiskTierConfig disk;
 };
 

@@ -38,8 +38,8 @@ enum class Stage : std::uint8_t {
   kDiskIo,            ///< disk-tier blob I/O. An attribution *overlay*, not a
                       ///< pipeline segment: worker-side fault-ins run inside
                       ///< kModelFetch (so fetch time already contains it);
-                      ///< driver-side write-through spill is charged per
-                      ///< update next to kBroadcastPublish.
+                      ///< writes run on the tier's writer thread, outside
+                      ///< every traced task.
 };
 
 inline constexpr std::size_t kNumStages = 10;

@@ -1,7 +1,11 @@
 #include "optim/checkpoint.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -72,6 +76,38 @@ TEST(Checkpoint, TruncatedFileRejected) {
   // Truncate mid-vector.
   std::filesystem::resize_file(path, 40);
   EXPECT_FALSE(load_checkpoint(path).is_ok());
+  std::filesystem::remove(path);
+}
+
+// A save that fails mid-write must leave the previous checkpoint loadable:
+// the file is replaced atomically, never truncated in place. The forked
+// child lowers its file-size limit below the second checkpoint's size
+// (SIGXFSZ ignored, so the write fails with EFBIG instead of killing it).
+TEST(Checkpoint, FailedSaveKeepsThePreviousCheckpoint) {
+  const std::string path = temp_path("asyncml_ckpt_fsize.bin");
+  std::filesystem::remove(path);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0) << "fork failed";
+  if (pid == 0) {
+    SolverCheckpoint cp;
+    cp.update_index = 1;
+    cp.model = linalg::DenseVector(8, 1.0);
+    if (!save_checkpoint(path, cp).is_ok()) ::_exit(2);
+    std::signal(SIGXFSZ, SIG_IGN);
+    const rlimit limit{512, 512};
+    if (::setrlimit(RLIMIT_FSIZE, &limit) != 0) ::_exit(3);
+    cp.update_index = 2;
+    cp.model = linalg::DenseVector(256, 2.0);  // > 2 KiB: over the limit
+    if (save_checkpoint(path, cp).is_ok()) ::_exit(4);
+    const auto loaded = load_checkpoint(path);
+    if (!loaded.is_ok()) ::_exit(5);
+    ::_exit(loaded.value().update_index == 1 ? 0 : 6);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << "child died (status " << status << ")";
+  // 4: the failed save reported success; 5: the previous checkpoint is gone.
+  EXPECT_EQ(WEXITSTATUS(status), 0);
   std::filesystem::remove(path);
 }
 

@@ -121,8 +121,9 @@ TEST(DiskTier, FreshOpenRotatesTheOldManifestAside) {
     PublishRecord rec;
     rec.shard = 0;
     rec.version = 1;
-    rec.has_base = true;
-    ASSERT_TRUE(tier->append_publish(rec).is_ok());
+    tier->publish(rec, payload_of(make_model(8, 1.0)), {});
+    tier->drain();
+    ASSERT_EQ(tier->metrics().manifest_appends.load(), 1u);
   }
   auto again = DiskTier::open(tier_config(dir), OpenMode::kFresh).value();
   // Stale records must not leak into the new run's replay...
@@ -143,18 +144,18 @@ TEST(DiskTier, ResumeReplaysPublishesFloorsAndCheckpoints) {
       rec.shard = static_cast<std::uint32_t>(v % 2);
       rec.version = v;
       rec.parent = v - 1;
-      rec.has_base = v == 1;
-      rec.has_delta = v != 1;
-      rec.base_digest = v == 1 ? model_digest : support::Sha256Digest{};
-      ASSERT_TRUE(tier->append_publish(rec).is_ok());
+      if (v == 1) {
+        tier->publish(rec, payload_of(w), {});
+      } else {
+        tier->publish(rec, {}, payload_of(make_model(4, static_cast<double>(v))));
+      }
     }
-    ASSERT_TRUE(tier->append_gc_floor(0, 2).is_ok());
+    tier->gc_floor(0, 2);
     CheckpointRecord cp;
     cp.update_index = 9;
     cp.model_version = 3;
-    cp.model_digest = model_digest;
     cp.counters = {{"tasks_completed", 18}};
-    ASSERT_TRUE(tier->append_checkpoint(cp).is_ok());
+    ASSERT_TRUE(tier->checkpoint(cp, payload_of(w), {}).is_ok());
   }
 
   auto tier = DiskTier::open(tier_config(dir), OpenMode::kResume).value();
@@ -166,6 +167,9 @@ TEST(DiskTier, ResumeReplaysPublishesFloorsAndCheckpoints) {
   EXPECT_EQ(st.gc_floors.at(0), 2u);
   ASSERT_EQ(st.checkpoints.size(), 1u);
   EXPECT_EQ(st.checkpoints[0].update_index, 9u);
+  // The writer filled the digests: both records name the model's blob.
+  EXPECT_EQ(st.shards.at(1).at(1).base_digest, model_digest);
+  EXPECT_EQ(st.checkpoints[0].model_digest, model_digest);
   // The blobs the replayed records point at are still fetchable.
   EXPECT_TRUE(tier->fetch_payload(model_digest).is_ok());
 }
@@ -326,18 +330,18 @@ TEST(DiskTierModelStore, RestoreServesHistoryWithoutReplay) {
 TEST(DiskTierModelStore, QuarantinedBlobFallsBackToNearestIntactAncestor) {
   const std::string dir = fresh_dir("tier_fallback");
   std::vector<linalg::DenseVector> models;
-  support::Sha256Digest victim{};
   {
     auto tier = DiskTier::open(tier_config(dir), OpenMode::kFresh).value();
     engine::BroadcastStore broadcasts;
     ModelStore store(&broadcasts, deep_chain_config());
     store.attach_disk(tier.get(), 0);
     models = publish_chain(store, 5);
-    victim = store.entry_of(4)->delta_hash;  // v4's only payload
-    ASSERT_FALSE(support::sha256_is_zero(victim));
   }
 
   auto tier = DiskTier::open(tier_config(dir), OpenMode::kResume).value();
+  const PublishRecord& v4 = tier->restored().shards.at(0).at(4);
+  ASSERT_TRUE(v4.has_delta && !v4.has_base);
+  const support::Sha256Digest victim = v4.delta_digest;  // v4's only payload
   // Rot v4's delta blob on disk: flip one payload byte.
   const std::string path = tier->blobs().object_path(victim);
   {
