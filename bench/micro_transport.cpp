@@ -2,12 +2,16 @@
 //
 // Four numbers the transport design hinges on (docs/TRANSPORT.md):
 //
-//   1. Frame codec throughput: ns to encode / decode a realistic
-//      gradient-bearing result frame (rcv1-shaped sparse GradCount, ~48 KB).
-//      The codec sits on every socket-backend round trip. The checked-in
-//      baseline measures ~144 µs encode and ~179 µs decode against a
-//      ~752 µs Unix-socket RTT (micro_transport.rtt.*), so the codec is a
-//      visible share of the trip, not noise under it.
+//   1. Frame codec cost: ns to encode / decode a gradient-bearing result
+//      frame in two shapes, the rcv1-shaped sparse GradCount (~48 KB,
+//      micro_transport.codec.*) and the 800-dim dense GradCount that
+//      sgd-epsilon-durable ships (6 476 B, micro_transport.dense.*), plus
+//      the CRC-32 every frame carries (micro_transport.crc32.ns_64k, one
+//      64 KiB buffer). The codec sits on every socket-backend round trip,
+//      four passes per trip. The checked-in baseline measures ~28 µs encode
+//      and ~40 µs decode of the 48 KB frame against a ~311 µs Unix-socket
+//      RTT (micro_transport.rtt.*), so the codec is a visible share of the
+//      trip, not noise under it.
 //   2. lz4 delta ratio: wire bytes / raw bytes for a delta-chain envelope
 //      (micro_transport.lz4_delta.bytes_ratio). The sparse [index, float64]
 //      stream is the compressible shape the delta chain ships all day.
@@ -33,6 +37,7 @@
 #include "linalg/grad_vector.hpp"
 #include "optim/payloads.hpp"
 #include "store/model_delta.hpp"
+#include "support/crc32.hpp"
 #include "transport/frame.hpp"
 #include "transport/transport.hpp"
 #include "transport/wire.hpp"
@@ -42,10 +47,12 @@ using namespace asyncml;
 namespace {
 
 constexpr int kCodecIters = 2000;
+constexpr int kCrcIters = 200;
 constexpr int kRttIters = 400;
 constexpr int kReps = 3;
 constexpr std::uint32_t kDim = 47236;  // rcv1 feature count
 constexpr std::uint32_t kNnz = 4000;
+constexpr std::uint32_t kDenseDim = 800;  // epsilon stand-in feature count
 
 double now_ms() {
   return std::chrono::duration<double, std::milli>(
@@ -93,6 +100,93 @@ std::vector<std::uint8_t> make_delta_envelope() {
       engine::Payload::wrap(std::move(delta), modeled));
 }
 
+// The frame sgd-epsilon-durable ships: an 800-dim dense GradCount result.
+engine::TaskResult make_dense_result() {
+  engine::TaskResult result;
+  result.id = 200;
+  result.worker = 0;
+  result.partition = 3;
+  result.seq = 12;
+  result.model_version = 9;
+  optim::GradCount gc;
+  gc.grad = linalg::GradVector(linalg::GradVectorConfig(kDenseDim, 0.1, true));
+  std::vector<double> values(kDenseDim);
+  for (std::uint32_t i = 0; i < kDenseDim; ++i) {
+    values[i] = 0.001 * static_cast<double>(i % 211) - 0.1;
+  }
+  gc.grad.assign_dense(values);
+  gc.count = 100;
+  const std::size_t modeled = gc.grad.size_bytes();
+  result.payload = engine::Payload::wrap(std::move(gc), modeled);
+  result.compute_ms = 0.5;
+  result.service_ms = 2.0;
+  return result;
+}
+
+struct CodecNs {
+  double encode_ns = 0.0;
+  double decode_ns = 0.0;
+  std::size_t frame_bytes = 0;
+};
+
+/// Min-of-k ns to encode `result` into a result frame and to decode that
+/// frame back, each rep averaged over kCodecIters frames.
+CodecNs measure_codec(const engine::TaskResult& result) {
+  const transport::TaskResultMsg msg = transport::to_wire(result);
+  const std::vector<std::uint8_t> frame = transport::encode_frame(
+      static_cast<std::uint8_t>(transport::FrameKind::kTaskResult),
+      transport::encode_task_result(msg));
+  CodecNs out;
+  out.frame_bytes = frame.size();
+  for (int rep = 0; rep < kReps; ++rep) {
+    double t0 = now_ms();
+    for (int i = 0; i < kCodecIters; ++i) {
+      const auto encoded = transport::encode_frame(
+          static_cast<std::uint8_t>(transport::FrameKind::kTaskResult),
+          transport::encode_task_result(msg));
+      if (encoded.size() != frame.size()) std::exit(1);
+    }
+    const double enc = (now_ms() - t0) * 1e6 / kCodecIters;
+    out.encode_ns = rep == 0 ? enc : std::min(out.encode_ns, enc);
+
+    t0 = now_ms();
+    for (int i = 0; i < kCodecIters; ++i) {
+      transport::FrameDecoder decoder(64ull << 20);
+      std::vector<transport::Frame> frames;
+      if (!decoder.feed(frame, frames).is_ok() || frames.size() != 1) std::exit(1);
+      transport::TaskResultMsg decoded;
+      const auto bytes = frames[0].message_bytes();
+      if (!bytes.is_ok() ||
+          !transport::decode_task_result(bytes.value(), decoded).is_ok()) {
+        std::exit(1);
+      }
+    }
+    const double dec = (now_ms() - t0) * 1e6 / kCodecIters;
+    out.decode_ns = rep == 0 ? dec : std::min(out.decode_ns, dec);
+  }
+  return out;
+}
+
+/// Min-of-k ns for one support::crc32 over a 64 KiB buffer.
+double measure_crc_ns_64k() {
+  std::vector<std::uint8_t> buffer(64u << 10);
+  for (std::size_t i = 0; i < buffer.size(); ++i) {
+    buffer[i] = static_cast<std::uint8_t>(i * 131u + 7u);
+  }
+  volatile std::uint32_t sink = 0;
+  double min_ns = 0.0;
+  for (int i = 0; i < kCrcIters; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    sink = support::crc32(buffer);
+    const double ns = std::chrono::duration<double, std::nano>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+    min_ns = i == 0 ? ns : std::min(min_ns, ns);
+  }
+  static_cast<void>(sink);
+  return min_ns;
+}
+
 /// Min-µs ship_result RTT over a freshly started 1-worker transport.
 double measure_rtt_us(transport::Backend backend, const engine::TaskResult& result) {
   transport::TransportConfig config;
@@ -128,40 +222,11 @@ int main() {
                 "is byte-identical");
 
   const engine::TaskResult result = make_result();
-  const transport::TaskResultMsg msg = transport::to_wire(result);
-  const std::vector<std::uint8_t> body = transport::encode_task_result(msg);
-  const std::vector<std::uint8_t> frame = transport::encode_frame(
-      static_cast<std::uint8_t>(transport::FrameKind::kTaskResult), body);
 
-  // 1. Codec throughput, min-of-k over kCodecIters batches.
-  double encode_ns = 0.0;
-  double decode_ns = 0.0;
-  for (int rep = 0; rep < kReps; ++rep) {
-    double t0 = now_ms();
-    for (int i = 0; i < kCodecIters; ++i) {
-      const auto encoded = transport::encode_frame(
-          static_cast<std::uint8_t>(transport::FrameKind::kTaskResult),
-          transport::encode_task_result(msg));
-      if (encoded.size() != frame.size()) std::exit(1);
-    }
-    const double enc = (now_ms() - t0) * 1e6 / kCodecIters;
-    encode_ns = rep == 0 ? enc : std::min(encode_ns, enc);
-
-    t0 = now_ms();
-    for (int i = 0; i < kCodecIters; ++i) {
-      transport::FrameDecoder decoder(64ull << 20);
-      std::vector<transport::Frame> frames;
-      if (!decoder.feed(frame, frames).is_ok() || frames.size() != 1) std::exit(1);
-      transport::TaskResultMsg out;
-      const auto bytes = frames[0].message_bytes();
-      if (!bytes.is_ok() ||
-          !transport::decode_task_result(bytes.value(), out).is_ok()) {
-        std::exit(1);
-      }
-    }
-    const double dec = (now_ms() - t0) * 1e6 / kCodecIters;
-    decode_ns = rep == 0 ? dec : std::min(decode_ns, dec);
-  }
+  // 1. Codec cost of both result shapes, and the CRC-32 inside it.
+  const CodecNs sparse = measure_codec(result);
+  const CodecNs dense = measure_codec(make_dense_result());
+  const double crc_ns_64k = measure_crc_ns_64k();
 
   // 2. lz4 delta ratio: wire body vs raw envelope.
   const std::vector<std::uint8_t> envelope = make_delta_envelope();
@@ -181,6 +246,8 @@ int main() {
   // 4. Bit-identity: decode the recorded frames and re-encode canonically.
   bool bit_identical = true;
   {
+    const std::vector<std::uint8_t> body =
+        transport::encode_task_result(transport::to_wire(result));
     const auto reencoded =
         transport::reencode_message(transport::FrameKind::kTaskResult, body);
     bit_identical = reencoded.is_ok() && reencoded.value() == body;
@@ -196,9 +263,13 @@ int main() {
   }
 
   metrics::Table table({"metric", "value"});
-  table.add_row({"result frame bytes", std::to_string(frame.size())});
-  table.add_row({"encode ns/frame", metrics::Table::num(encode_ns, 1)});
-  table.add_row({"decode ns/frame", metrics::Table::num(decode_ns, 1)});
+  table.add_row({"sparse result frame bytes", std::to_string(sparse.frame_bytes)});
+  table.add_row({"sparse encode ns/frame", metrics::Table::num(sparse.encode_ns, 1)});
+  table.add_row({"sparse decode ns/frame", metrics::Table::num(sparse.decode_ns, 1)});
+  table.add_row({"dense result frame bytes", std::to_string(dense.frame_bytes)});
+  table.add_row({"dense encode ns/frame", metrics::Table::num(dense.encode_ns, 1)});
+  table.add_row({"dense decode ns/frame", metrics::Table::num(dense.decode_ns, 1)});
+  table.add_row({"crc32 ns/64 KiB", metrics::Table::num(crc_ns_64k, 1)});
   table.add_row({"lz4 delta ratio", metrics::Table::num(ratio, 4)});
   table.add_row({"unix-socket RTT us", metrics::Table::num(uds_us, 1)});
   table.add_row({"tcp RTT us", metrics::Table::num(tcp_us, 1)});
@@ -207,10 +278,14 @@ int main() {
   table.print(std::cout);
 
   bench::update_bench_json({
-      {"micro_transport.codec.encode_ns", encode_ns},
-      {"micro_transport.codec.decode_ns", decode_ns},
-      {"micro_transport.codec.frame_bytes", static_cast<double>(frame.size())},
+      {"micro_transport.codec.encode_ns", sparse.encode_ns},
+      {"micro_transport.codec.decode_ns", sparse.decode_ns},
+      {"micro_transport.codec.frame_bytes", static_cast<double>(sparse.frame_bytes)},
       {"micro_transport.codec.bit_identical", bit_identical ? 1.0 : 0.0},
+      {"micro_transport.dense.encode_ns", dense.encode_ns},
+      {"micro_transport.dense.decode_ns", dense.decode_ns},
+      {"micro_transport.dense.frame_bytes", static_cast<double>(dense.frame_bytes)},
+      {"micro_transport.crc32.ns_64k", crc_ns_64k},
       {"micro_transport.lz4_delta.raw_bytes", raw_bytes},
       {"micro_transport.lz4_delta.wire_bytes", wire_bytes},
       {"micro_transport.lz4_delta.bytes_ratio", ratio},

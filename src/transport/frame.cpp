@@ -36,12 +36,6 @@ bool valid_kind(std::uint8_t type) {
 
 }  // namespace
 
-std::uint32_t crc32(std::span<const std::uint8_t> data) {
-  // One CRC-32 for the whole tree; the table lives in support/crc32.cpp so
-  // the disk tier shares it without depending on the transport layer.
-  return support::crc32(data);
-}
-
 StatusOr<std::vector<std::uint8_t>> Frame::message_bytes() const {
   if (!compressed()) {
     if (raw_len != body.size()) {
@@ -67,7 +61,7 @@ std::vector<std::uint8_t> encode_frame(std::uint8_t type, std::uint8_t flags,
   h[7] = 0;
   put_u32le(h + 8, static_cast<std::uint32_t>(body.size()));
   put_u32le(h + 12, raw_len);
-  put_u32le(h + 16, crc32(body));
+  put_u32le(h + 16, support::crc32(body));
   if (!body.empty()) {
     std::memcpy(h + kFrameHeaderBytes, body.data(), body.size());
   }
@@ -140,7 +134,7 @@ Status FrameDecoder::feed(std::span<const std::uint8_t> data, std::vector<Frame>
     frame.raw_len = raw_len;
     const std::uint8_t* body = h + kFrameHeaderBytes;
     frame.body.assign(body, body + body_len);
-    if (crc32(frame.body) != crc) {
+    if (support::crc32(frame.body) != crc) {
       return poison("frame crc mismatch");
     }
     out.push_back(std::move(frame));

@@ -11,7 +11,7 @@
 //        6     2  reserved  (must be zero)
 //        8     4  body_len  (u32 LE, bytes following the header)
 //       12     4  raw_len   (u32 LE, uncompressed body length)
-//       16     4  crc32     (u32 LE, IEEE crc of the body as on the wire)
+//       16     4  crc32     (u32 LE, support::crc32 of the body as on the wire)
 //       20     …  body      (msgpack message, possibly lz4-compressed)
 //
 // The decoder is incremental — it accepts arbitrary split/coalesced reads —
@@ -50,9 +50,6 @@ inline constexpr std::size_t kDefaultMaxFrameBytes = 64ull << 20;
 [[nodiscard]] constexpr std::uint8_t ack_type(FrameKind kind) {
   return static_cast<std::uint8_t>(kind) | kAckBit;
 }
-
-/// IEEE CRC-32 (reflected, poly 0xEDB88320) of `data`.
-[[nodiscard]] std::uint32_t crc32(std::span<const std::uint8_t> data);
 
 struct Frame {
   std::uint8_t type = 0;

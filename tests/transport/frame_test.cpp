@@ -8,6 +8,7 @@
 #include <numeric>
 #include <vector>
 
+#include "support/crc32.hpp"
 #include "transport/frame.hpp"
 
 namespace asyncml::transport {
@@ -274,7 +275,7 @@ TEST(Frame, CorruptLz4BodyFailsMessageBytesNotFeed) {
 TEST(Frame, Crc32MatchesKnownVector) {
   // IEEE CRC-32 of "123456789" — the standard check value.
   const char* s = "123456789";
-  const std::uint32_t crc = crc32(
+  const std::uint32_t crc = support::crc32(
       {reinterpret_cast<const std::uint8_t*>(s), 9});
   EXPECT_EQ(crc, 0xCBF43926u);
 }

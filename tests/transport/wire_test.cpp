@@ -15,8 +15,11 @@
 
 #include "linalg/grad_vector.hpp"
 #include "optim/payloads.hpp"
+#include "store/disk/blob.hpp"
 #include "store/model_delta.hpp"
 #include "store/model_store.hpp"
+#include "support/sha256.hpp"
+#include "transport/frame.hpp"
 #include "transport/msgpack.hpp"
 #include "transport/wire.hpp"
 
@@ -282,6 +285,54 @@ TEST(Wire, StoreBuiltDeltaEnvelopesKeepTheirBytes) {
   EXPECT_EQ(hex_of(encode_payload_envelope(broadcasts.get(v2))),
             "93062cc43792019640c2cb3ff028f5c28f5c29c2c40c000000000900000011000000"
             "c4180000000000000000000000000000f87f0000000000001640");
+}
+
+// The CRC-bearing bytes end to end: a frame header carries the CRC-32 of its
+// body and a blob header that of its payload, so the sha256 of a whole frame
+// or blob file pins the CRC with the rest. The result is the 6 476-byte frame
+// sgd-epsilon-durable ships, an 800-dim dense GradCount; the delta envelope
+// crosses the wire lz4-compressed and lands on disk as a blob.
+TEST(Wire, CrcBearingFramesAndBlobKeepTheirBytes) {
+  engine::TaskResult result;
+  result.id = 200;
+  result.worker = 2;
+  result.partition = 5;
+  result.seq = 9;
+  result.model_version = 17;
+  optim::GradCount gc;
+  gc.grad = dense_grad(800);
+  gc.count = 100;
+  const std::size_t grad_bytes = gc.grad.size_bytes();
+  result.payload = engine::Payload::wrap(std::move(gc), grad_bytes);
+  result.compute_ms = 0.75;
+  result.service_ms = 1.5;
+  const std::vector<std::uint8_t> result_frame = encode_frame(
+      static_cast<std::uint8_t>(FrameKind::kTaskResult), encode_task_result(to_wire(result)));
+
+  store::ModelDelta delta;
+  delta.parent = 12;
+  delta.dim = 4096;
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    delta.indices.push_back(16 * i);
+    delta.values.push_back(1.0 / (1.0 + static_cast<double>(i % 7)));
+  }
+  const std::size_t delta_bytes = delta.wire_bytes();
+  const std::vector<std::uint8_t> envelope =
+      encode_payload_envelope(engine::Payload::wrap(std::move(delta), delta_bytes));
+  const std::vector<std::uint8_t> delta_frame =
+      encode_frame_lz4(static_cast<std::uint8_t>(FrameKind::kModelDelta), envelope);
+  const std::vector<std::uint8_t> blob = store::disk::encode_blob(envelope);
+
+  const auto digest_of = [](const std::vector<std::uint8_t>& bytes) {
+    return support::sha256_hex(support::sha256(bytes));
+  };
+  EXPECT_EQ(result_frame.size(), 6476u);
+  EXPECT_EQ(digest_of(result_frame),
+            "47fd59c5b92e050f6c5f7134db6e50317d142a144ecb3915c891cf02c1af01e3");
+  EXPECT_EQ(digest_of(delta_frame),
+            "b0db5057d41a65dda3b20e35029ff4e4a8153fcaabc16e17e46dcd27760ef5a2");
+  EXPECT_EQ(digest_of(blob),
+            "84307a208856fc02d826134c29c05d9a2a50aacf479136209d7a42123bb7f684");
 }
 
 // One wire slot of a ModelDelta body each; the defaults decode.

@@ -7,7 +7,7 @@ bench_results/BENCH_micro.json. This tool diffs two such files and flags
 regressions, so the perf trajectory of the hot paths is visible per PR.
 
 Metric semantics are inferred from the key name:
-  *_ns            lower is better (times)        -> flag when current/baseline > 1 + tol
+  *_ns, *.ns_*    lower is better (times)        -> flag when current/baseline > 1 + tol
   *.speedup       higher is better (ratios)      -> flag when baseline/current > 1 + tol
   *.bytes_ratio   higher is better (wire wins)   -> flag when baseline/current > 1 + tol
   *.bit_identical / *.trajectory_bitmatch_*      -> flag when current != 1 (hard invariant)
@@ -42,7 +42,7 @@ def classify(key: str) -> str:
         return "invariant"
     if key.endswith(".adaptive_over_dense"):
         return "bounded"
-    if key.endswith("_ns"):
+    if key.endswith("_ns") or ".ns_" in key:
         return "lower_better"
     if key.endswith(".speedup") or key.endswith(".bytes_ratio"):
         return "higher_better"
