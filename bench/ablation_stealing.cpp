@@ -1,8 +1,8 @@
 // Ablation A4 — dynamic placement: work stealing × speculative replication.
 //
-// Barrier-wait SGD through the ASYNCscheduler (ScheduledSgdSolver) under the
-// controlled-delay straggler, with each combination of the two
-// dynamic-placement features (docs/SCHEDULING.md):
+// Barrier-wait SGD in ASYNC (SgdSolver, every round dispatched and collected
+// through the ASYNCscheduler) under the controlled-delay straggler, with each
+// combination of the two dynamic-placement features (docs/SCHEDULING.md):
 //
 //   fixed       classic p % W placement (the seed scheduler)
 //   steal       locality-aware work stealing only
@@ -10,8 +10,8 @@
 //   steal+spec  both
 //
 // Expected shape: with no delay all four run alike (zero steals, trajectory
-// bit-identical — the hysteresis margin keeps EWMA jitter from reshuffling a
-// healthy cluster). At 100% delay, stealing rebalances the straggler's
+// bit-identical — the steal trigger keeps host hiccups from reshuffling a
+// healthy cluster, docs/SCHEDULING.md §3). At 100% delay, stealing rebalances the straggler's
 // backlog once (a handful of one-time migrations), speculation trims the
 // in-round tail, and the combination reaches the target objective fastest —
 // all with bit-identical iterates, since replicas recompute the same
@@ -69,8 +69,7 @@ int main() {
       config.speculation_factor = entry.speculation;
 
       engine::Cluster cluster(bench::cluster_config(kWorkers, model));
-      const optim::RunResult run =
-          optim::ScheduledSgdSolver::run(cluster, workload, config);
+      const optim::RunResult run = optim::SgdSolver::run(cluster, workload, config);
 
       const std::string vs_fixed =
           fixed.has_value() ? bench::speedup_str(fixed->trace, run.trace) : "1.00x";

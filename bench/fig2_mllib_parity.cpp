@@ -2,10 +2,12 @@
 //
 // The paper shows that ASYNC's synchronous SGD matches MLlib's on all three
 // datasets (same initial step, MLlib's 1/√t decay), establishing that the
-// synchronous baselines of the later figures are well optimized.  Here the
-// two implementations differ exactly as in the paper: MLlib-SGD reduces via
-// treeAggregate, ASYNC's SGD via flat aggregate; math and sampling are
-// identical.  Expected shape: overlapping error-vs-time curves per dataset.
+// synchronous baselines of the later figures are well optimized.  Here, as in
+// the paper, SGD runs in ASYNC (SgdSolver: w published through
+// ASYNCbroadcast, each round dispatched and collected through the
+// ASYNCscheduler) and MLlib-SGD on plain Spark stages (a fresh broadcast per
+// iteration, treeAggregate).  Both draw the same mini-batches and apply the
+// same step.  Expected shape: overlapping error-vs-time curves per dataset.
 
 #include <iostream>
 

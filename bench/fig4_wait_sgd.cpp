@@ -7,7 +7,7 @@
 // is flat and small.
 //
 // Beyond the paper, a dynamic-placement section reruns the barrier-wait SGD
-// through the ASYNCscheduler with work stealing + speculative replication
+// with the ASYNCscheduler's work stealing + speculative replication
 // (docs/SCHEDULING.md): under the controlled-delay straggler the straggler
 // sheds partitions to healthy peers and overdue tasks are replicated, so the
 // same trajectory reaches the target objective >= 1.3x sooner; with no delay
@@ -105,15 +105,13 @@ int main() {
 
     optim::SolverConfig off = plan.sync_config;
     engine::Cluster off_cluster(bench::cluster_config(kWorkers, model));
-    const optim::RunResult fixed =
-        optim::ScheduledSgdSolver::run(off_cluster, workload, off);
+    const optim::RunResult fixed = optim::SgdSolver::run(off_cluster, workload, off);
 
     optim::SolverConfig on = off;
     on.steal_mode = core::StealMode::kLocality;
     on.speculation_factor = 2.0;
     engine::Cluster on_cluster(bench::cluster_config(kWorkers, model));
-    const optim::RunResult dynamic =
-        optim::ScheduledSgdSolver::run(on_cluster, workload, on);
+    const optim::RunResult dynamic = optim::SgdSolver::run(on_cluster, workload, on);
 
     const bool bit_identical = linalg::bitwise_equal(fixed.final_w, dynamic.final_w);
 

@@ -25,7 +25,6 @@
 #include "core/barrier.hpp"
 #include "data/dataset.hpp"
 #include "data/libsvm.hpp"
-#include "data/split.hpp"
 #include "data/synthetic.hpp"
 #include "engine/actions.hpp"
 #include "engine/cluster.hpp"
@@ -33,11 +32,9 @@
 #include "linalg/blas.hpp"
 #include "metrics/report.hpp"
 #include "metrics/trace.hpp"
-#include "optim/admm.hpp"
 #include "optim/asaga.hpp"
 #include "optim/asgd.hpp"
 #include "optim/epoch_vr.hpp"
-#include "optim/hogwild.hpp"
 #include "optim/loss.hpp"
 #include "optim/mllib_sgd.hpp"
 #include "optim/naive_saga.hpp"
@@ -52,4 +49,3 @@
 #include "store/model_store.hpp"
 #include "straggler/controlled_delay.hpp"
 #include "straggler/production_cluster.hpp"
-#include "straggler/trace_replay.hpp"

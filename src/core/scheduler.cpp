@@ -13,9 +13,14 @@ namespace {
 
 /// Hysteresis for stealing: a move must shrink the victim's estimated drain
 /// time to below 1/kStealMargin of its current value relative to the
-/// thief's, so EWMA jitter on a healthy cluster never triggers moves (a
-/// no-delay run keeps the fixed placement bit-for-bit).
+/// thief's.
 constexpr double kStealMargin = 1.15;
+
+/// Persistence for stealing: the same victim must clear the margin in this
+/// many consecutive passes before anything moves. A host hiccup inflates a
+/// worker's EWMA for a round or two; a straggler stays slow
+/// (docs/SCHEDULING.md, "Work stealing", has the measurement).
+constexpr int kStealPasses = 3;
 
 /// Per-worker speed estimate in ms/task: the EWMA when the worker has
 /// history, `fallback` (cluster mean of the workers that do) otherwise.
@@ -312,15 +317,19 @@ int AsyncScheduler::steal_pass(const StatSnapshot& stat, const BarrierControl* b
     speed[static_cast<std::size_t>(w)] = speed_ms(row, fallback);
     if (barrier != nullptr) passes[static_cast<std::size_t>(w)] = barrier->filter(row, stat);
   }
-  // Fluid drain-time estimate: (in-flight + idle backlog) × ms/task ÷ cores.
+  // Fluid drain-time estimate: (in-flight + idle backlog) × ms/task ÷ cores,
+  // but never below one task time while any task is left — a task does not
+  // split across cores, so a backlog that fits in one wave drains no faster
+  // for losing a partition.
   const auto est = [&](int w, int extra_idle) {
     const WorkerStat& row = stat.workers[static_cast<std::size_t>(w)];
     const double tasks =
         static_cast<double>(row.outstanding + idle[static_cast<std::size_t>(w)] + extra_idle);
-    return tasks * speed[static_cast<std::size_t>(w)] / cores;
+    return std::max(tasks / cores, std::min(tasks, 1.0)) * speed[static_cast<std::size_t>(w)];
   };
 
   int moves = 0;
+  bool imbalanced = false;
   while (moves < num_partitions_) {
     // Victim: the most-backlogged worker that has an idle partition to give.
     // Only a barrier-shunned victim may lose its *last* partition — a
@@ -361,6 +370,12 @@ int AsyncScheduler::steal_pass(const StatSnapshot& stat, const BarrierControl* b
     const double before = est(victim, 0);
     const double after = std::max(est(victim, -1), est(thief, +1));
     if (before <= kStealMargin * after) break;
+    if (moves == 0) {
+      imbalanced = true;
+      imbalance_passes_ = victim == imbalance_victim_ ? imbalance_passes_ + 1 : 1;
+      imbalance_victim_ = victim;
+      if (imbalance_passes_ < kStealPasses) break;
+    }
 
     // Steal the partition the victim would service last (just before its
     // round-robin cursor): the least disruption to its local iteration.
@@ -380,6 +395,7 @@ int AsyncScheduler::steal_pass(const StatSnapshot& stat, const BarrierControl* b
     idle[static_cast<std::size_t>(thief)] += 1;
     ++moves;
   }
+  if (!imbalanced) imbalance_passes_ = 0;
   return moves;
 }
 

@@ -256,6 +256,10 @@ class AsyncScheduler {
   std::uint64_t round_ = 0;
   std::uint64_t steals_ = 0;
   std::uint64_t speculations_ = 0;
+  /// Consecutive steal passes in which `imbalance_victim_` cleared the
+  /// margin (kStealPasses in scheduler.cpp).
+  int imbalance_passes_ = 0;
+  engine::WorkerId imbalance_victim_ = -1;
 };
 
 }  // namespace asyncml::core

@@ -2,10 +2,11 @@
 
 // MLlib-style synchronous SGD — the baseline of the paper's Figure 2.
 //
-// Matches MLlib's GradientDescent: mini-batch sampling, treeAggregate
-// reduction (log-depth combine stages on workers), and the 1/√t step decay.
-// The paper shows ASYNC's synchronous SGD matches this implementation; our
-// Figure-2 bench reproduces that parity check.
+// Matches MLlib's GradientDescent on plain Spark: a fresh broadcast of w per
+// iteration, mini-batch sampling, a blocking treeAggregate reduction
+// (log-depth combine stages on workers) on the engine's BSP path, and the
+// 1/√t step decay. The paper shows SGD in ASYNC (SgdSolver) matches this
+// implementation; our Figure-2 bench reproduces that parity check.
 
 #include "engine/cluster.hpp"
 #include "optim/run_result.hpp"

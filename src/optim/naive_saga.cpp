@@ -35,7 +35,7 @@ struct TableHandle {
 
 RunResult NaiveSagaSolver::run(engine::Cluster& cluster, const Workload& workload,
                                const SolverConfig& config) {
-  detail::RunScope<SolverConfig> run(cluster, workload, config);
+  detail::RunScope run(cluster, workload, config);
   linalg::DenseVector& w = run.w;
   const std::size_t n = workload.n();
   const double service_ms = detail::service_floor(workload, config, config.batch_fraction,

@@ -76,7 +76,7 @@ struct SolverConfig {
   /// Snapshot the solver state (model, version, round, STAT totals, solver
   /// aux vectors) to `checkpoint_path` every `checkpoint_every` model
   /// updates. 0 (default) = never. Read by every solver on the AsyncContext
-  /// (ScheduledSgd, Asgd, Saga, Asaga, EpochVr).
+  /// (Sgd, Asgd, Saga, Asaga, EpochVr); MllibSgd and NaiveSaga ignore it.
   std::uint64_t checkpoint_every = 0;
 
   /// Snapshot destination; each snapshot overwrites the previous one.
@@ -84,7 +84,7 @@ struct SolverConfig {
   std::string checkpoint_path;
 
   /// Resume from this checkpoint before the first update (the same five
-  /// solvers): ScheduledSgd continues bit-exactly (same trajectory as the
+  /// solvers): Sgd continues bit-exactly (same trajectory as the
   /// uninterrupted run), Asgd trajectory-equivalently; Saga, Asaga and
   /// EpochVr warm-start at the checkpointed model with their other state
   /// cold (docs/FAULTS.md). Empty = fresh start. A missing or malformed
@@ -122,8 +122,8 @@ struct SolverConfig {
   /// mllib_sgd/epoch_vr).
   telemetry::TelemetryConfig telemetry;
 
-  /// Model-history GC cadence: every `gc_every` updates the async solvers
-  /// compact delta chains below the STAT minimum in-flight version
+  /// Model-history GC cadence: every `gc_every` updates the AsyncContext
+  /// solvers compact delta chains below the STAT minimum in-flight version
   /// (AsyncContext::gc_history). 0 disables GC (history grows unboundedly —
   /// only sensible for short diagnostic runs).
   std::uint64_t gc_every = 64;

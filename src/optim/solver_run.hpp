@@ -3,13 +3,13 @@
 // The run skeleton every cluster solver shares, so that a solver file holds
 // only its state and its step — the loop of the paper's listing.
 //
-//   RunScope<Config>  run-metric reset, telemetry, the convergence trace and
-//                     its stopwatch, and the RunResult epilogue.
-//   AsyncRun          RunScope plus what the SolverConfig solvers on
-//                     core::AsyncContext repeat: the service floor, the
-//                     gradient representation and shard-support table, the
-//                     context with its scheduler policy, submit options,
-//                     resume, and the per-update snapshot → GC → checkpoint.
+//   RunScope  run-metric reset, telemetry, the convergence trace and its
+//             stopwatch, and the RunResult epilogue.
+//   AsyncRun  RunScope plus what the solvers on core::AsyncContext repeat:
+//             the service floor, the gradient representation and
+//             shard-support table, the context with its scheduler policy,
+//             submit options, resume, and the per-update snapshot → GC →
+//             checkpoint.
 //
 // The timed window opens at start(), which each solver calls where its loop
 // begins: after the context, the policy and, where the solver publishes
@@ -31,9 +31,9 @@ namespace asyncml::optim::detail {
 
 /// Base service time of one task touching `fraction` of its partition: the
 /// configured floor, else the cost model's estimate.
-template <typename Config>
-[[nodiscard]] double service_floor(const Workload& workload, const Config& config,
-                                   double fraction, bool two_pass = false) {
+[[nodiscard]] inline double service_floor(const Workload& workload,
+                                          const SolverConfig& config, double fraction,
+                                          bool two_pass = false) {
   return config.service_floor_ms > 0.0
              ? config.service_floor_ms
              : config.cost.task_service_ms(*workload.dataset, workload.num_partitions(),
@@ -41,12 +41,9 @@ template <typename Config>
 }
 
 /// One solver run: constructed before the solver's state, finished once.
-/// `Config` is SolverConfig or AdmmConfig (anything with eval_every, updates
-/// and telemetry).
-template <typename Config>
 class RunScope {
  public:
-  RunScope(engine::Cluster& cluster, const Workload& workload, const Config& config)
+  RunScope(engine::Cluster& cluster, const Workload& workload, const SolverConfig& config)
       : cluster(cluster),
         workload(workload),
         config(config),
@@ -93,8 +90,8 @@ class RunScope {
 
   engine::Cluster& cluster;
   const Workload& workload;
-  const Config& config;
-  linalg::DenseVector w;  ///< the model the trace follows (ADMM's z)
+  const SolverConfig& config;
+  linalg::DenseVector w;  ///< the model the trace follows
 
  private:
   metrics::TraceRecorder recorder_;
@@ -109,7 +106,7 @@ enum class TaskKind {
   kHistoryWriting,  ///< two passes that rewrite SampleVersionTable entries (SAGA, ASAGA)
 };
 
-/// RunScope for the SolverConfig solvers on core::AsyncContext.
+/// RunScope for the solvers on core::AsyncContext.
 ///
 /// Resume (config.resume_from) restores the model and the version and
 /// dispatch-round streams. Synchronous rounds then continue bit-exactly: the
@@ -120,7 +117,7 @@ enum class TaskKind {
 /// process no longer holds, and ᾱ without it would bias every correction
 /// term (their checkpoints still carry ᾱ, for inspection); EpochVR opens a
 /// fresh epoch.
-class AsyncRun : public RunScope<SolverConfig> {
+class AsyncRun : public RunScope {
  public:
   AsyncRun(engine::Cluster& cluster, const Workload& workload, const SolverConfig& config,
            TaskKind tasks)

@@ -140,11 +140,8 @@ inline void fill_run_stats(RunResult& r, const engine::ClusterMetrics& m) {
 /// Arms the cluster's span recorder for this run when
 /// config.telemetry.enabled; otherwise a no-op — the recorder stays inert
 /// and no clock is read anywhere on the task path. Must run before the
-/// first dispatch (the recorder rebuilds its rings). Templated so every
-/// config struct carrying a `telemetry` member (SolverConfig, AdmmConfig)
-/// wires identically.
-template <typename Config>
-inline void begin_telemetry(engine::Cluster& cluster, const Config& config) {
+/// first dispatch (the recorder rebuilds its rings).
+inline void begin_telemetry(engine::Cluster& cluster, const SolverConfig& config) {
   if (!config.telemetry.enabled) return;
   cluster.telemetry().configure(config.telemetry);
 }
@@ -153,9 +150,8 @@ inline void begin_telemetry(engine::Cluster& cluster, const Config& config) {
 /// yet, builds the report into `r.telemetry`, writes the JSON export when
 /// config.telemetry.export_path is set, and disarms the recorder so the
 /// cluster can host an untraced run next.
-template <typename Config>
 inline void finish_telemetry(RunResult& r, engine::Cluster& cluster,
-                             const Config& config) {
+                             const SolverConfig& config) {
   if (!config.telemetry.enabled) return;
   r.telemetry = cluster.telemetry().finish();
   if (!config.telemetry.export_path.empty() && r.telemetry != nullptr) {

@@ -131,7 +131,7 @@ TEST(Scheduler, StealingComposesWithBarrierAndConservesInvariants) {
 }
 
 TEST(Scheduler, NoStealsOnHealthyCluster) {
-  // Homogeneous workers, ASP: the hysteresis margin must keep EWMA jitter
+  // Homogeneous workers, ASP: the steal trigger must keep EWMA jitter
   // from reshuffling ownership — placement stays the fixed p % W forever.
   constexpr int kWorkers = 4;
   constexpr int kPartitions = 8;

@@ -89,14 +89,14 @@ TEST(ChaosProperty, SyncSgdIsBitIdenticalUnderSeededTransientChaos) {
   const SolverConfig config = solver_config(15);
 
   engine::Cluster clean(quiet_config(3));
-  const RunResult reference = ScheduledSgdSolver::run(clean, workload, config);
+  const RunResult reference = SgdSolver::run(clean, workload, config);
 
   for (int trial = 0; trial < 3; ++trial) {
     std::mt19937_64 rng(seed * 7919 + static_cast<std::uint64_t>(trial));
     engine::Cluster::Config faulty = quiet_config(3);
     faulty.faults = draw_transient_plan(rng, 3);
     engine::Cluster cluster(faulty);
-    const RunResult chaotic = ScheduledSgdSolver::run(cluster, workload, config);
+    const RunResult chaotic = SgdSolver::run(cluster, workload, config);
 
     ASSERT_EQ(chaotic.final_w.size(), reference.final_w.size());
     EXPECT_EQ(linalg::max_abs_diff(chaotic.final_w.span(), reference.final_w.span()),
@@ -138,7 +138,7 @@ TEST(ChaosProperty, SyncSgdSurvivesSubmitRejectionWithoutWedging) {
   config.faults.reject_submit({}, /*times=*/3, /*after=*/2);
   engine::Cluster cluster(config);
 
-  const RunResult result = ScheduledSgdSolver::run(cluster, workload, solver_config(15));
+  const RunResult result = SgdSolver::run(cluster, workload, solver_config(15));
   EXPECT_EQ(result.updates, 15u);
   EXPECT_LT(result.final_error(), 1.0);
   EXPECT_EQ(cluster.faults()->stats().submits_rejected, 3u);

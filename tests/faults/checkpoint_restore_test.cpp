@@ -51,14 +51,14 @@ std::string temp_path(const char* name) {
   return ::testing::TempDir() + name;
 }
 
-TEST(CheckpointRestore, ScheduledSgdResumesBitExactly) {
+TEST(CheckpointRestore, SgdResumesBitExactly) {
   const Workload workload = tiny_workload(1);
   const std::string path = temp_path("sgd_restore.ckpt");
 
   // Reference: one uninterrupted 30-update run.
   engine::Cluster c_ref(quiet_config(2));
   const RunResult uninterrupted =
-      ScheduledSgdSolver::run(c_ref, workload, base_config(30));
+      SgdSolver::run(c_ref, workload, base_config(30));
 
   // "Kill" at update 16: the first leg stops there, its last checkpoint
   // (cadence 8 → written at 8 and 16) is what survives the crash.
@@ -66,13 +66,13 @@ TEST(CheckpointRestore, ScheduledSgdResumesBitExactly) {
   leg1.checkpoint_every = 8;
   leg1.checkpoint_path = path;
   engine::Cluster c1(quiet_config(2));
-  (void)ScheduledSgdSolver::run(c1, workload, leg1);
+  (void)SgdSolver::run(c1, workload, leg1);
 
   // Restore into a fresh cluster and finish the budget.
   SolverConfig leg2 = base_config(30);
   leg2.resume_from = path;
   engine::Cluster c2(quiet_config(2));
-  const RunResult resumed = ScheduledSgdSolver::run(c2, workload, leg2);
+  const RunResult resumed = SgdSolver::run(c2, workload, leg2);
 
   // Sync resume is bit-exact: same iterate stream, same final model bits.
   ASSERT_EQ(resumed.final_w.size(), uninterrupted.final_w.size());
@@ -89,7 +89,7 @@ TEST(CheckpointRestore, CheckpointCarriesVersionRoundAndCounters) {
   config.checkpoint_every = 12;
   config.checkpoint_path = path;
   engine::Cluster cluster(quiet_config(2));
-  (void)ScheduledSgdSolver::run(cluster, workload, config);
+  (void)SgdSolver::run(cluster, workload, config);
 
   auto loaded = load_checkpoint(path);
   ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
@@ -224,7 +224,7 @@ TEST(CheckpointRestoreDeathTest, MalformedResumeFileAbortsLoudly) {
   EXPECT_DEATH(
       {
         engine::Cluster cluster(quiet_config(1));
-        (void)ScheduledSgdSolver::run(cluster, workload, config);
+        (void)SgdSolver::run(cluster, workload, config);
       },
       "cannot resume");
   std::remove(path.c_str());
@@ -237,7 +237,7 @@ TEST(CheckpointRestoreDeathTest, MissingResumeFileAbortsLoudly) {
   config.resume_from = temp_path("does_not_exist.ckpt");
   // Every AsyncContext solver resumes through the same path; none may start
   // silently from update 0.
-  for (const Solver solver : {&ScheduledSgdSolver::run, &AsgdSolver::run, &SagaSolver::run,
+  for (const Solver solver : {&SgdSolver::run, &AsgdSolver::run, &SagaSolver::run,
                               &AsagaSolver::run, &EpochVrSolver::run}) {
     EXPECT_DEATH(
         {

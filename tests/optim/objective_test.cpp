@@ -4,7 +4,7 @@
 
 #include "data/synthetic.hpp"
 #include "linalg/blas.hpp"
-#include "linalg/solve.hpp"
+#include "reference/least_squares.hpp"
 
 namespace asyncml::optim {
 namespace {
@@ -34,7 +34,7 @@ TEST(FullObjective, HandMadeExample) {
 
 TEST(FullGradient, ZeroAtLeastSquaresOptimum) {
   const auto problem = data::synthetic::tiny(60, 5, 0.1, 2);  // noisy
-  const auto w_opt = linalg::least_squares_optimum(
+  const auto w_opt = linalg::reference::least_squares_optimum(
       problem.dataset.dense_features(), problem.dataset.labels(), 0.0);
   ASSERT_TRUE(w_opt.is_ok());
   LeastSquaresLoss loss;

@@ -2,8 +2,9 @@
 // (tests/reference/per_row.hpp): for every loss kind and density, each fused
 // body and its per-row counterpart run on the same TaskContext (seed,
 // partition, seq) and must return *bit-identical* results — same count, same
-// representation, same wire size, same bits (grad_batch.hpp's contract). A
-// 1-worker SgdSolver run must then follow the per-row SGD loop bit for bit.
+// representation, same wire size, same bits (grad_batch.hpp's contract). An
+// SgdSolver run, on 1 worker or on 3 workers × 2 cores, must then follow the
+// per-row SGD loop bit for bit.
 
 #include <gtest/gtest.h>
 
@@ -229,8 +230,11 @@ INSTANTIATE_TEST_SUITE_P(
 
 class SgdTrajectory : public ::testing::TestWithParam<double> {};
 
-TEST_P(SgdTrajectory, OneWorkerRunMatchesPerRowLoop) {
-  const Workload workload = make_workload(GetParam(), make_least_squares());
+// The solver's partition-ordered fold over the scheduler's rounds equals the
+// per-row BSP loop bit for bit on any placement: `workers` × `cores` only
+// changes where each (seed, partition, seq) task runs.
+void expect_matches_per_row_loop(double density, int workers, int cores) {
+  const Workload workload = make_workload(density, make_least_squares());
   SolverConfig config;
   config.updates = 15;
   config.batch_fraction = 0.3;
@@ -239,14 +243,22 @@ TEST_P(SgdTrajectory, OneWorkerRunMatchesPerRowLoop) {
   config.seed = 7;
 
   engine::Cluster::Config cluster_config;
-  cluster_config.num_workers = 1;
-  cluster_config.cores_per_worker = 1;
+  cluster_config.num_workers = workers;
+  cluster_config.cores_per_worker = cores;
   cluster_config.network.time_scale = 0.0;
   engine::Cluster fused_cluster(cluster_config);
   const RunResult fused = SgdSolver::run(fused_cluster, workload, config);
   engine::Cluster ref_cluster(cluster_config);
   const linalg::DenseVector ref = reference::run_sgd(ref_cluster, workload, config);
   EXPECT_TRUE(linalg::bitwise_equal(fused.final_w, ref));
+}
+
+TEST_P(SgdTrajectory, OneWorkerRunMatchesPerRowLoop) {
+  expect_matches_per_row_loop(GetParam(), /*workers=*/1, /*cores=*/1);
+}
+
+TEST_P(SgdTrajectory, ThreeWorkersTwoCoresMatchPerRowLoop) {
+  expect_matches_per_row_loop(GetParam(), /*workers=*/3, /*cores=*/2);
 }
 
 INSTANTIATE_TEST_SUITE_P(Densities, SgdTrajectory, ::testing::Values(0.05, 1.0),

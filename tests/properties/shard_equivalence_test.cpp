@@ -45,7 +45,7 @@ RunResult run_scheduled_sgd(const std::shared_ptr<const data::Dataset>& dataset,
   config.seed = 23;
   config.step = inverse_decay_step(0.05, 1.0, 0.01);
   config.store_config.num_shards = num_shards;
-  return ScheduledSgdSolver::run(cluster, workload, config);
+  return SgdSolver::run(cluster, workload, config);
 }
 
 RunResult run_asgd(const std::shared_ptr<const data::Dataset>& dataset,
@@ -81,9 +81,9 @@ RunResult run_asgd(const std::shared_ptr<const data::Dataset>& dataset,
 
 class ShardEquivalenceSweep : public ::testing::TestWithParam<double> {};
 
-// Tentpole acceptance: ScheduledSgd trajectories are bit-identical for
+// Tentpole acceptance: SGD trajectories are bit-identical for
 // S = 1 vs S ∈ {2, 4, 8} at every density.
-TEST_P(ShardEquivalenceSweep, ScheduledSgdIsBitIdenticalAcrossShardCounts) {
+TEST_P(ShardEquivalenceSweep, SgdIsBitIdenticalAcrossShardCounts) {
   const double density = GetParam();
   const auto problem = sparse_problem(density);
   auto dataset = std::make_shared<const data::Dataset>(problem.dataset);

@@ -1,16 +1,29 @@
-#include "linalg/solve.hpp"
+#pragma once
+
+// Direct least-squares solves for small systems: the *exact* optimum that
+// convergence error is measured against at test scale (d <= a few hundred),
+// by forming the normal equations and running Cholesky. The solvers never
+// need it; nothing under src/ includes it.
 
 #include <cmath>
+#include <cstddef>
+#include <utility>
 
-#include "linalg/blas.hpp"
+#include "linalg/dense_matrix.hpp"
+#include "linalg/dense_vector.hpp"
+#include "linalg/sparse.hpp"
+#include "support/status.hpp"
 
-namespace asyncml::linalg {
+namespace asyncml::linalg::reference {
 
 using support::Status;
 using support::StatusCode;
 using support::StatusOr;
 
-Status cholesky_factorize(DenseMatrix& a) {
+/// In-place Cholesky factorization A = L·Lᵀ of a symmetric positive-definite
+/// matrix (lower triangle used). Fails with kFailedPrecondition if A is not
+/// positive definite.
+[[nodiscard]] inline Status cholesky_factorize(DenseMatrix& a) {
   const std::size_t n = a.rows();
   if (a.cols() != n) {
     return Status(StatusCode::kInvalidArgument, "cholesky: matrix not square");
@@ -33,7 +46,9 @@ Status cholesky_factorize(DenseMatrix& a) {
   return Status::ok();
 }
 
-DenseVector cholesky_solve(const DenseMatrix& l, const DenseVector& b) {
+/// Solves L·Lᵀ x = b given the factor produced by cholesky_factorize.
+[[nodiscard]] inline DenseVector cholesky_solve(const DenseMatrix& l,
+                                              const DenseVector& b) {
   const std::size_t n = l.rows();
   DenseVector y(n);
   // Forward substitution L y = b.
@@ -52,20 +67,20 @@ DenseVector cholesky_solve(const DenseMatrix& l, const DenseVector& b) {
   return x;
 }
 
-namespace {
-
 /// Shared implementation once the normal matrix AᵀA and vector Aᵀb are formed.
-StatusOr<DenseVector> solve_normal_equations(DenseMatrix gram, DenseVector rhs,
-                                             double ridge) {
+[[nodiscard]] inline StatusOr<DenseVector> solve_normal_equations(DenseMatrix gram,
+                                                                  DenseVector rhs,
+                                                                  double ridge) {
   for (std::size_t i = 0; i < gram.rows(); ++i) gram.at(i, i) += ridge;
   if (Status s = cholesky_factorize(gram); !s.is_ok()) return s;
   return cholesky_solve(gram, rhs);
 }
 
-}  // namespace
-
-StatusOr<DenseVector> least_squares_optimum(const DenseMatrix& a, const DenseVector& b,
-                                            double ridge) {
+/// Least-squares optimum argmin_w ||A w - b||² via normal equations with a
+/// small ridge term for numerical safety. Intended for d small (test scale).
+[[nodiscard]] inline StatusOr<DenseVector> least_squares_optimum(const DenseMatrix& a,
+                                                                 const DenseVector& b,
+                                                                 double ridge = 1e-10) {
   if (a.rows() != b.size()) {
     return Status(StatusCode::kInvalidArgument, "least_squares: size mismatch");
   }
@@ -87,8 +102,10 @@ StatusOr<DenseVector> least_squares_optimum(const DenseMatrix& a, const DenseVec
   return solve_normal_equations(std::move(gram), std::move(rhs), ridge);
 }
 
-StatusOr<DenseVector> least_squares_optimum(const CsrMatrix& a, const DenseVector& b,
-                                            double ridge) {
+/// Sparse-matrix overload (densifies the normal matrix; d must be small).
+[[nodiscard]] inline StatusOr<DenseVector> least_squares_optimum(const CsrMatrix& a,
+                                                                 const DenseVector& b,
+                                                                 double ridge = 1e-10) {
   if (a.rows() != b.size()) {
     return Status(StatusCode::kInvalidArgument, "least_squares: size mismatch");
   }
@@ -111,4 +128,4 @@ StatusOr<DenseVector> least_squares_optimum(const CsrMatrix& a, const DenseVecto
   return solve_normal_equations(std::move(gram), std::move(rhs), ridge);
 }
 
-}  // namespace asyncml::linalg
+}  // namespace asyncml::linalg::reference

@@ -132,9 +132,10 @@ template <typename Handle>
       make_svrg_seq(workload.loss, w_br, snapshot_br, grad_cfg));
 }
 
-/// SgdSolver's loop (Algorithm 1) over the per-row body: the same broadcast,
-/// StageOptions, partition-ordered fold and step, so its final model must
-/// equal SgdSolver::run's final_w bit for bit.
+/// Algorithm 1 as a BSP loop over the per-row body: round k draws its
+/// batches at seq k+1, as the scheduler numbers rounds from 1, and folds the
+/// results in partition order before the step, so its final model must
+/// equal SgdSolver::run's final_w bit for bit on any placement.
 [[nodiscard]] inline linalg::DenseVector run_sgd(engine::Cluster& cluster,
                                                  const Workload& workload,
                                                  const SolverConfig& config) {
@@ -144,7 +145,7 @@ template <typename Handle>
     const engine::Broadcast<linalg::DenseVector> w_br =
         cluster.broadcast(w, w.size_bytes());
     engine::StageOptions stage;
-    stage.seq = k;
+    stage.seq = k + 1;
     stage.model_version = k;
     stage.service_floor_ms =
         detail::service_floor(workload, config, config.batch_fraction);

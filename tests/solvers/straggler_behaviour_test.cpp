@@ -129,24 +129,25 @@ TEST(StragglerBehaviour, PcsSlowsSyncMoreThanAsync) {
 TEST(StragglerBehaviour, StealingAndSpeculationCutBarrierWaitWallClock) {
   // Barrier-wait SGD through the scheduler, one worker at half speed owning
   // 3 of 12 partitions (two waves on its 2 cores -> 20 ms rounds vs 10 ms
-  // healthy). Stealing sheds a partition once the EWMA knows the straggler,
-  // cutting the round to ~10 ms; the trajectory stays bit-identical (same
+  // healthy). Stealing sheds a partition once the straggler has cleared the
+  // steal margin for three rounds, cutting the round to ~10 ms (speculation
+  // trims the rounds before that); the trajectory stays bit-identical (same
   // (seed, partition, seq) batches, partition-ordered combine).
   const Workload workload = tiny_workload(7, /*partitions=*/12);
   auto delay = std::make_shared<straggler::ControlledDelay>(0, /*intensity=*/1.0);
   SolverConfig off = timed_config(12, 5.0);
 
   engine::Cluster off_cluster(delayed_config(4, delay));
-  const RunResult fixed = ScheduledSgdSolver::run(off_cluster, workload, off);
+  const RunResult fixed = SgdSolver::run(off_cluster, workload, off);
 
   SolverConfig on = off;
   on.steal_mode = core::StealMode::kLocality;
   on.speculation_factor = 2.0;
   engine::Cluster on_cluster(delayed_config(4, delay));
-  const RunResult dynamic = ScheduledSgdSolver::run(on_cluster, workload, on);
+  const RunResult dynamic = SgdSolver::run(on_cluster, workload, on);
 
   EXPECT_GE(dynamic.partitions_stolen, 1u);
-  // Nominal ratio ~1.85x (20 ms rounds -> 10 ms after the steal); 1.3x
+  // Nominal ratio ~1.7x (20 ms rounds -> 10 ms after the steal); 1.3x
   // leaves headroom for jitter on loaded CI machines.
   EXPECT_GT(fixed.wall_ms, dynamic.wall_ms * 1.3);
   EXPECT_TRUE(linalg::bitwise_equal(fixed.final_w, dynamic.final_w));
@@ -162,12 +163,12 @@ TEST(StragglerBehaviour, SpeculativeDuplicatesAreNotDoubleCounted) {
   SolverConfig off = timed_config(10, 4.0);
 
   engine::Cluster off_cluster(delayed_config(4, delay));
-  const RunResult plain = ScheduledSgdSolver::run(off_cluster, workload, off);
+  const RunResult plain = SgdSolver::run(off_cluster, workload, off);
 
   SolverConfig on = off;
   on.speculation_factor = 2.0;  // speculation only: isolate the dedup path
   engine::Cluster on_cluster(delayed_config(4, delay));
-  const RunResult spec = ScheduledSgdSolver::run(on_cluster, workload, on);
+  const RunResult spec = SgdSolver::run(on_cluster, workload, on);
 
   EXPECT_GE(spec.tasks_speculated, 1u);
   // Every replica that completed after its original was dropped, never
@@ -201,20 +202,20 @@ TEST(StragglerBehaviour, HistoryWritingTasksAreNeverReplicated) {
 }
 
 TEST(StragglerBehaviour, NoDelayKeepsFixedPlacementBitIdentical) {
-  // With no delay model installed the hysteresis margin and the predictive
+  // With no delay model installed the steal trigger and the predictive
   // speculation trigger must keep both features dormant: zero steals, zero
   // replicas, and a trajectory bit-identical to the fixed-placement run.
   const Workload workload = tiny_workload(9, /*partitions=*/8);
   SolverConfig off = timed_config(10, 2.0);
 
   engine::Cluster off_cluster(delayed_config(4, nullptr));
-  const RunResult fixed = ScheduledSgdSolver::run(off_cluster, workload, off);
+  const RunResult fixed = SgdSolver::run(off_cluster, workload, off);
 
   SolverConfig on = off;
   on.steal_mode = core::StealMode::kLocality;
   on.speculation_factor = 2.0;
   engine::Cluster on_cluster(delayed_config(4, nullptr));
-  const RunResult dynamic = ScheduledSgdSolver::run(on_cluster, workload, on);
+  const RunResult dynamic = SgdSolver::run(on_cluster, workload, on);
 
   EXPECT_EQ(dynamic.partitions_stolen, 0u);
   EXPECT_EQ(dynamic.tasks_speculated, 0u);

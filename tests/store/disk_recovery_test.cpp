@@ -1,6 +1,6 @@
 // Crash-recovery acceptance for the durable tier (docs/DURABILITY.md):
 //
-//   * a ScheduledSgd coordinator SIGKILLed mid-stream — a real kill(2) of a
+//   * an SGD coordinator SIGKILLed mid-stream — a real kill(2) of a
 //     child process, not a polite shutdown — restarts from the manifest and
 //     continues bit-exactly, without replaying any update;
 //   * an injected torn_write on the newest checkpoint's model blob makes the
@@ -74,7 +74,7 @@ SolverConfig durable_config(std::uint64_t updates, const std::string& dir) {
   config.checkpoint_every = 50;
   config.checkpoint_path = ckpt;
   engine::Cluster cluster(quiet_config(2));
-  (void)ScheduledSgdSolver::run(cluster, workload, config);
+  (void)SgdSolver::run(cluster, workload, config);
   _exit(0);  // only reached if the parent never got around to killing us
 }
 
@@ -147,14 +147,14 @@ TEST(DiskRecovery, SigkilledCoordinatorResumesBitExactlyWithoutReplay) {
   const Workload workload = tiny_workload(1);
   engine::Cluster c_ref(quiet_config(2));
   const RunResult uninterrupted =
-      ScheduledSgdSolver::run(c_ref, workload, durable_config(k + 14, ""));
+      SgdSolver::run(c_ref, workload, durable_config(k + 14, ""));
 
   // Restart from the manifest: no update is replayed (the run continues at
   // k + 1) and the continuation is bit-exact.
   SolverConfig resume = durable_config(k + 14, dir);
   resume.resume_from = ckpt;
   engine::Cluster c2(quiet_config(2));
-  const RunResult resumed = ScheduledSgdSolver::run(c2, workload, resume);
+  const RunResult resumed = SgdSolver::run(c2, workload, resume);
 
   EXPECT_EQ(resumed.updates, k + 14);
   ASSERT_EQ(resumed.final_w.size(), uninterrupted.final_w.size());
@@ -182,7 +182,7 @@ TEST(DiskRecovery, TornCheckpointBlobFallsBackToOlderRecordBitExactly) {
     config.checkpoint_path = dry_ckpt;
     config.store_config.base_interval = 5;
     engine::Cluster cluster(quiet_config(2));
-    (void)ScheduledSgdSolver::run(cluster, workload, config);
+    (void)SgdSolver::run(cluster, workload, config);
     total_writes = cluster.metrics().disk.blob_writes.load();
     std::remove(dry_ckpt.c_str());
   }
@@ -199,7 +199,7 @@ TEST(DiskRecovery, TornCheckpointBlobFallsBackToOlderRecordBitExactly) {
     engine::Cluster::Config cc = quiet_config(2);
     cc.faults.torn_write(/*times=*/1, /*after=*/total_writes - 1);
     engine::Cluster cluster(cc);
-    (void)ScheduledSgdSolver::run(cluster, workload, config);
+    (void)SgdSolver::run(cluster, workload, config);
     EXPECT_EQ(cluster.faults() != nullptr
                   ? cluster.faults()->stats().disk_writes_torn
                   : 0u,
@@ -215,13 +215,13 @@ TEST(DiskRecovery, TornCheckpointBlobFallsBackToOlderRecordBitExactly) {
   SolverConfig ref_config = durable_config(20, "");
   ref_config.store_config.base_interval = 5;
   const RunResult uninterrupted =
-      ScheduledSgdSolver::run(c_ref, workload, ref_config);
+      SgdSolver::run(c_ref, workload, ref_config);
 
   SolverConfig resume = durable_config(20, dir);
   resume.resume_from = ckpt;
   resume.store_config.base_interval = 5;
   engine::Cluster c2(quiet_config(2));
-  const RunResult resumed = ScheduledSgdSolver::run(c2, workload, resume);
+  const RunResult resumed = SgdSolver::run(c2, workload, resume);
 
   EXPECT_EQ(linalg::max_abs_diff(resumed.final_w.span(), uninterrupted.final_w.span()),
             0.0);
@@ -251,13 +251,13 @@ TEST(DiskRecovery, DiskOnOffIsBitIdenticalAcrossShardCounts) {
     config.store_config.num_shards = shards;
 
     engine::Cluster c_mem(quiet_config(4));
-    const RunResult in_memory = ScheduledSgdSolver::run(c_mem, workload, config);
+    const RunResult in_memory = SgdSolver::run(c_mem, workload, config);
 
     config.store_config.disk.enabled = true;
     config.store_config.disk.dir =
         fresh_dir("onoff_s" + std::to_string(shards));
     engine::Cluster c_disk(quiet_config(4));
-    const RunResult durable = ScheduledSgdSolver::run(c_disk, workload, config);
+    const RunResult durable = SgdSolver::run(c_disk, workload, config);
 
     EXPECT_TRUE(linalg::bitwise_equal(in_memory.final_w, durable.final_w))
         << "disk tier changed the trajectory at S=" << shards;

@@ -1,6 +1,6 @@
 // The disk tier's writer thread (docs/DURABILITY.md, "Write path"):
 //
-//   * the bytes it leaves on disk are pinned: a durable ScheduledSgd run's
+//   * the bytes it leaves on disk are pinned: a durable SGD run's
 //     MANIFEST and objects/ names hash to fixed values at S ∈ {1, 4};
 //   * RunResult::disk is a complete snapshot taken after the writer drained;
 //   * a checkpoint returns only once it, and every publish record queued
@@ -87,7 +87,7 @@ struct DurableRun {
   engine::DiskTierStats after;  ///< the cluster's counters once the context is gone
 };
 
-/// A 1-worker × 1-core durable ScheduledSgd run with GC and checkpoints
+/// A 1-worker × 1-core durable SGD run with GC and checkpoints
 /// every 8 updates: synchronous, so every byte the tier writes is
 /// deterministic.
 DurableRun durable_run(std::uint32_t shards, std::uint64_t updates,
@@ -122,7 +122,7 @@ DurableRun durable_run(std::uint32_t shards, std::uint64_t updates,
   engine::Cluster::Config cc = one_worker();
   cc.faults = faults;
   engine::Cluster cluster(cc);
-  run.result = optim::ScheduledSgdSolver::run(cluster, workload, config);
+  run.result = optim::SgdSolver::run(cluster, workload, config);
   run.after = cluster.metrics().disk.snapshot();
   std::remove(config.checkpoint_path.c_str());
   return run;

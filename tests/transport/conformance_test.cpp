@@ -4,7 +4,7 @@
 // cross a Unix socket / TCP loopback to a worker process and come back as
 // decoded echoes:
 //
-//   - ScheduledSgd (synchronous, placement-independent): bit-identical
+//   - SGD (synchronous, placement-independent): bit-identical
 //     final model and trace across all three backends.
 //   - ASGD at 1 worker × 1 core (serial, deterministic): objective within
 //     1e-8 of the in-process oracle (bitwise in practice).
@@ -54,7 +54,7 @@ RunResult run_scheduled_sgd(const std::shared_ptr<const data::Dataset>& dataset,
   config.eval_every = 8;
   config.seed = 23;
   config.step = inverse_decay_step(0.05, 1.0, 0.01);
-  return ScheduledSgdSolver::run(cluster, workload, config);
+  return SgdSolver::run(cluster, workload, config);
 }
 
 RunResult run_asgd_serial(const std::shared_ptr<const data::Dataset>& dataset,
@@ -97,7 +97,7 @@ class TransportConformance : public ::testing::TestWithParam<Param> {};
 
 // Synchronous path: every backend must reproduce the in-process oracle's
 // final model bit for bit and its error trace exactly.
-TEST_P(TransportConformance, ScheduledSgdIsBitIdenticalToTheInProcessOracle) {
+TEST_P(TransportConformance, SgdIsBitIdenticalToTheInProcessOracle) {
   const auto [density, backend] = GetParam();
   const auto problem = sparse_problem(density);
   auto dataset = std::make_shared<const data::Dataset>(problem.dataset);
@@ -139,7 +139,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          transport::Backend::kTcp)),
     param_name);
 
-// The wire counters of a socket run measure real frames: a ScheduledSgd run
+// The wire counters of a socket run measure real frames: an SGD run
 // over the Unix socket must record traffic on the task, result and model
 // channels — the proof that the trajectory above actually crossed a socket.
 TEST(TransportConformance, SocketRunsActuallyMoveFrames) {
