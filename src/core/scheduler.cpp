@@ -4,6 +4,7 @@
 #include <cassert>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "data/partition.hpp"
 
@@ -16,11 +17,11 @@ namespace {
 /// thief's.
 constexpr double kStealMargin = 1.15;
 
-/// Persistence for stealing: the same victim must clear the margin in this
-/// many consecutive passes before anything moves. A host hiccup inflates a
-/// worker's EWMA for a round or two; a straggler stays slow
-/// (docs/SCHEDULING.md, "Work stealing", has the measurement).
-constexpr int kStealPasses = 3;
+/// Persistence for stealing on the synchronous path: the same victim must
+/// clear the margin in this many consecutive rounds before anything moves.
+/// A host hiccup inflates a worker's EWMA for a round or two; a straggler
+/// stays slow (docs/SCHEDULING.md, "Work stealing", has the measurement).
+constexpr int kStealRounds = 3;
 
 /// Per-worker speed estimate in ms/task: the EWMA when the worker has
 /// history, `fallback` (cluster mean of the workers that do) otherwise.
@@ -317,19 +318,25 @@ int AsyncScheduler::steal_pass(const StatSnapshot& stat, const BarrierControl* b
     speed[static_cast<std::size_t>(w)] = speed_ms(row, fallback);
     if (barrier != nullptr) passes[static_cast<std::size_t>(w)] = barrier->filter(row, stat);
   }
-  // Fluid drain-time estimate: (in-flight + idle backlog) × ms/task ÷ cores,
-  // but never below one task time while any task is left — a task does not
-  // split across cores, so a backlog that fits in one wave drains no faster
-  // for losing a partition.
+  // Drain-time estimate: (in-flight + idle backlog) × ms/task ÷ cores. On
+  // the synchronous path it is the worker's round makespan, never below one
+  // task time while a task is left: a task does not split across cores, so
+  // a backlog that fits in one wave finishes no sooner for losing a
+  // partition. The asynchronous path keeps the fluid rate — work streams in
+  // there, and a barrier-shunned victim cannot run its idle partitions at all.
+  const double min_waves = capacity_mode ? 0.0 : 1.0;
+  // A synchronous round's streak toward kStealRounds survives only if this
+  // round's victim clears the margin again.
+  const int streak = capacity_mode ? 0 : std::exchange(imbalanced_rounds_, 0);
   const auto est = [&](int w, int extra_idle) {
     const WorkerStat& row = stat.workers[static_cast<std::size_t>(w)];
     const double tasks =
         static_cast<double>(row.outstanding + idle[static_cast<std::size_t>(w)] + extra_idle);
-    return std::max(tasks / cores, std::min(tasks, 1.0)) * speed[static_cast<std::size_t>(w)];
+    return std::max(tasks / cores, std::min(tasks, min_waves)) *
+           speed[static_cast<std::size_t>(w)];
   };
 
   int moves = 0;
-  bool imbalanced = false;
   while (moves < num_partitions_) {
     // Victim: the most-backlogged worker that has an idle partition to give.
     // Only a barrier-shunned victim may lose its *last* partition — a
@@ -370,11 +377,10 @@ int AsyncScheduler::steal_pass(const StatSnapshot& stat, const BarrierControl* b
     const double before = est(victim, 0);
     const double after = std::max(est(victim, -1), est(thief, +1));
     if (before <= kStealMargin * after) break;
-    if (moves == 0) {
-      imbalanced = true;
-      imbalance_passes_ = victim == imbalance_victim_ ? imbalance_passes_ + 1 : 1;
+    if (!capacity_mode && moves == 0) {
+      imbalanced_rounds_ = victim == imbalance_victim_ ? streak + 1 : 1;
       imbalance_victim_ = victim;
-      if (imbalance_passes_ < kStealPasses) break;
+      if (imbalanced_rounds_ < kStealRounds) break;
     }
 
     // Steal the partition the victim would service last (just before its
@@ -395,7 +401,6 @@ int AsyncScheduler::steal_pass(const StatSnapshot& stat, const BarrierControl* b
     idle[static_cast<std::size_t>(thief)] += 1;
     ++moves;
   }
-  if (!imbalanced) imbalance_passes_ = 0;
   return moves;
 }
 

@@ -222,7 +222,10 @@ class AsyncScheduler {
   /// eligibility (thieves must pass the filter; only filtered-out victims
   /// may lose their last partition); `capacity_mode` restricts thieves to
   /// workers with free capacity and no idle owned partition (the
-  /// asynchronous path). Returns the number of ownership transfers.
+  /// asynchronous path). Without it (the synchronous path, one pass per
+  /// round) the drain estimate never drops below one task time and a victim
+  /// must clear the margin in kStealRounds consecutive rounds. Returns the
+  /// number of ownership transfers.
   int steal_pass(const StatSnapshot& stat, const BarrierControl* barrier,
                  bool capacity_mode);
 
@@ -256,9 +259,9 @@ class AsyncScheduler {
   std::uint64_t round_ = 0;
   std::uint64_t steals_ = 0;
   std::uint64_t speculations_ = 0;
-  /// Consecutive steal passes in which `imbalance_victim_` cleared the
-  /// margin (kStealPasses in scheduler.cpp).
-  int imbalance_passes_ = 0;
+  /// Consecutive synchronous rounds in which `imbalance_victim_` cleared
+  /// the steal margin (kStealRounds in scheduler.cpp).
+  int imbalanced_rounds_ = 0;
   engine::WorkerId imbalance_victim_ = -1;
 };
 

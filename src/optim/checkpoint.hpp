@@ -57,7 +57,7 @@ struct SolverCheckpoint {
   linalg::DenseVector model;
   /// Named scalar counters (e.g. STAT totals).
   std::map<std::string, std::uint64_t> counters;
-  /// Named auxiliary vectors (e.g. SAGA's "alpha_bar", ADMM's duals).
+  /// Named auxiliary vectors (e.g. SAGA's "alpha_bar").
   std::map<std::string, linalg::DenseVector> aux;
   /// Disk-tier directory this checkpoint was loaded from (v3 only; empty for
   /// v2). Informational — the resumed run re-opens the tier through its

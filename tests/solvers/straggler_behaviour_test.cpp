@@ -223,6 +223,21 @@ TEST(StragglerBehaviour, NoDelayKeepsFixedPlacementBitIdentical) {
   EXPECT_TRUE(linalg::bitwise_equal(fixed.final_w, dynamic.final_w));
 }
 
+TEST(StragglerBehaviour, OneWaveStragglerKeepsItsPartitions) {
+  // Worker 0 at half speed owns 2 of 8 partitions on its 2 cores: one wave.
+  // Moving one away still leaves it a full-length task, so the round ends
+  // no sooner; the one-task floor of the synchronous drain estimate must
+  // see that and move nothing, however the EWMAs jitter.
+  const Workload workload = tiny_workload(9, /*partitions=*/8);
+  SolverConfig config = timed_config(10, 2.0);
+  config.steal_mode = core::StealMode::kLocality;
+  engine::Cluster cluster(
+      delayed_config(4, std::make_shared<straggler::ControlledDelay>(0, /*intensity=*/1.0)));
+  const RunResult run = SgdSolver::run(cluster, workload, config);
+
+  EXPECT_EQ(run.partitions_stolen, 0u);
+}
+
 TEST(StragglerBehaviour, DelayDoesNotChangeSyncTrajectory) {
   // The straggler slows wall clock but must not change the math: same seeds
   // mean identical batches, so final error matches the no-delay run.
