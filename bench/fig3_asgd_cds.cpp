@@ -80,75 +80,6 @@ int main() {
   std::cout << "\nshape check: SGD wall time grows with delay; ASGD wall time stays "
                "~flat; speedup grows with delay (paper: up to 2x at 100%).\n";
 
-  // ---- Sharded model plane: per-shard broadcast byte accounting. ----------
-  // ASGD on rcv1 (the sparse dataset) with the model plane split across S=4
-  // coordinator shards (docs/SHARDING.md): workers fetch only the shards
-  // their batch-union support touches, so per-shard base/delta bytes — and
-  // the fraction of model reads that skipped shards — make the wire win of
-  // range partitioning visible next to the aggregate columns above.
-  constexpr std::uint32_t kShards = 4;
-  const bench::BenchDataset rcv1 = bench::load_dataset("rcv1", /*row_scale=*/2.0);
-  const optim::Workload sharded_workload =
-      optim::Workload::create(rcv1.data, kPartitions, optim::make_least_squares());
-  const bench::RunPlan sharded_plan =
-      bench::make_plan(rcv1, /*saga=*/false, kIterations, kPartitions, /*seed=*/11,
-                       /*service_floor_ms=*/6.0);
-  optim::SolverConfig sharded_config = sharded_plan.async_config;
-  sharded_config.store_config.num_shards = kShards;
-
-  engine::Cluster sharded_cluster(bench::cluster_config(kWorkers));
-  const optim::RunResult sharded_run =
-      optim::AsgdSolver::run(sharded_cluster, sharded_workload, sharded_config);
-
-  metrics::Table shard_table(
-      {"shard", "base KB", "delta KB", "fetches", "share of bcast B"});
-  std::uint64_t total_shard_bytes = 0;
-  for (std::uint32_t s = 0; s < kShards; ++s) {
-    const auto& c = sharded_cluster.metrics().shard(s);
-    total_shard_bytes += c.base_bytes.load() + c.delta_bytes.load();
-  }
-  std::vector<std::string> shard_rows;
-  for (std::uint32_t s = 0; s < kShards; ++s) {
-    const auto& c = sharded_cluster.metrics().shard(s);
-    const std::uint64_t bytes = c.base_bytes.load() + c.delta_bytes.load();
-    shard_table.add_row(
-        {std::to_string(s),
-         metrics::Table::num(static_cast<double>(c.base_bytes.load()) / 1024.0, 4),
-         metrics::Table::num(static_cast<double>(c.delta_bytes.load()) / 1024.0, 4),
-         std::to_string(c.fetches.load()),
-         metrics::Table::num(
-             100.0 * static_cast<double>(bytes) /
-                 static_cast<double>(std::max<std::uint64_t>(1, total_shard_bytes)),
-             3) + "%"});
-    shard_rows.push_back(std::to_string(s) + ',' +
-                         std::to_string(c.base_bytes.load()) + ',' +
-                         std::to_string(c.delta_bytes.load()) + ',' +
-                         std::to_string(c.fetches.load()));
-  }
-  bench::write_csv("fig3_shards.csv", "shard,base_bytes,delta_bytes,fetches",
-                   shard_rows);
-  std::cout << "\nASGD on rcv1 with S=" << kShards << " model-plane shards "
-            << "(delay 0%, err " << metrics::Table::num(sharded_run.final_error())
-            << "):\n";
-  shard_table.print(std::cout);
-  const double partial_pct =
-      100.0 * static_cast<double>(sharded_run.shard_reads_partial) /
-      static_cast<double>(std::max<std::uint64_t>(1, sharded_run.shard_reads));
-  const double mean_touches =
-      static_cast<double>(sharded_run.shard_touches) /
-      static_cast<double>(std::max<std::uint64_t>(1, sharded_run.shard_reads));
-  std::cout << "model reads touching < S shards: "
-            << metrics::Table::num(partial_pct, 3) << "% (mean "
-            << metrics::Table::num(mean_touches, 3) << " of " << kShards
-            << " shards per read)\n"
-            << "shape check: per-shard base+delta bytes split the aggregate "
-               "broadcast column ~evenly under range partitioning. The "
-               "uniform synthetic stand-in has no topic locality, so batch "
-               "support covers every shard here; the masked-fetch win on "
-               "locality-structured sparsity is pinned by "
-               "tests/properties/shard_equivalence_test.cpp and measured by "
-               "bench_micro_shard_route.\n";
-
   // ---- Charged vs measured wire bytes (docs/TRANSPORT.md). ----------------
   // The same seeded ASGD run twice: over the in-process backend, whose wire
   // counters record the *charged* (modeled) payload bytes, and over the

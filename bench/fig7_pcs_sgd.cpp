@@ -4,7 +4,8 @@
 // PCS (paper §6.3): 25% of the 32 workers straggle — 6 with uniform delay in
 // [150%, 250%] of mean task time, 2 long-tail in (250%, 10x]; seeds fixed.
 // b = 1%.  Expected shape: ASGD converges considerably faster — 3x on
-// mnist8m, 4x on epsilon.
+// mnist8m, 4x on epsilon.  The extra ASGD+SS series adds the median barrier,
+// work stealing and speculation to ASGD; it is not in the paper.
 
 #include <iostream>
 
@@ -49,11 +50,12 @@ int main() {
     // ASGD with dynamic placement: the median-anchored barrier shuns the
     // long-tail stragglers, work stealing migrates their partitions to
     // healthy workers (so no partition starves), and overdue tasks get
-    // speculative replicas (docs/SCHEDULING.md). Honest expectation: plain
-    // ASGD under ASP is capacity-bound, not barrier-gated, so this does NOT
-    // beat its wall clock (the shunned workers' cores stop contributing);
-    // the win is statistical — no partition starves and no 10x-stale
-    // long-tail gradients land, so the final error edges lower.
+    // speculative replicas (docs/SCHEDULING.md). Measured (5 runs): 2-3
+    // partitions stolen per run, no replica; the wall clock is 1-11% below
+    // plain ASGD's in every run (each worker owns one partition, which runs
+    // one task at a time, so a thief puts its second core to work); the
+    // final error is within run-to-run noise of plain ASGD's (lower on
+    // epsilon in 5 of 5 runs, higher on mnist8m in 4 of 5).
     optim::SolverConfig ss_config = plan.async_config;
     ss_config.barrier = core::barriers::median_completion_within(2.5);
     ss_config.steal_mode = core::StealMode::kLocality;
@@ -86,8 +88,8 @@ int main() {
   std::cout << "\n";
   summary.print(std::cout);
   std::cout << "\nshape check: ASGD speedup should be >=2x on both datasets "
-               "(paper: 3x mnist8m, 4x epsilon). ASGD+SS: tens of one-time "
-               "steals off the long tail, final err <= plain ASGD's, wall "
-               "clock modestly higher (shunned cores idle).\n";
+               "(paper: 3x mnist8m, 4x epsilon). ASGD+SS: a few one-time "
+               "steals off the long tail (2-3), wall clock slightly below "
+               "plain ASGD's, final err within noise of plain ASGD's.\n";
   return 0;
 }

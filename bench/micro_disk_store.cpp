@@ -168,7 +168,7 @@ int main() {
       store::StoreConfig cfg;
       cfg.base_interval = kChain;  // one long delta chain
       store::ModelStore model_store(&broadcasts, cfg);
-      model_store.attach_disk(tier.get(), 0);
+      model_store.attach_disk(tier.get());
       support::RngStream rng(7);
       linalg::DenseVector w(kDim);
       for (engine::Version v = 0; v < kChain; ++v) {
@@ -190,7 +190,7 @@ int main() {
       store::StoreConfig cfg;
       cfg.base_interval = kChain;
       store::ModelStore model_store(&broadcasts, cfg);
-      model_store.attach_disk(tier.get(), 0);
+      model_store.attach_disk(tier.get());
       model_store.restore_from_manifest(tier->restored().shards.at(0), 0,
                                         kChain - 1);
       const linalg::DenseVector& w =

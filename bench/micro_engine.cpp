@@ -5,7 +5,6 @@
 
 #include "asyncml.hpp"
 #include "support/blocking_queue.hpp"
-#include "support/spsc_ring.hpp"
 
 using namespace asyncml;
 
@@ -19,15 +18,6 @@ void BM_BlockingQueuePushPop(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BlockingQueuePushPop);
-
-void BM_SpscRingPushPop(benchmark::State& state) {
-  support::SpscRing<int> ring(1024);
-  for (auto _ : state) {
-    (void)ring.try_push(1);
-    benchmark::DoNotOptimize(ring.try_pop());
-  }
-}
-BENCHMARK(BM_SpscRingPushPop);
 
 void BM_RngSubstreamDerivation(benchmark::State& state) {
   support::RngStream root(42);

@@ -8,10 +8,6 @@ AsyncContext::AsyncContext(engine::Cluster& cluster, int num_partitions,
       coordinator_(cluster),
       scheduler_(cluster, coordinator_),
       registry_(std::make_shared<HistoryRegistry>(&cluster.store(), store_config)) {
-  // Size the per-shard byte accounting before any dispatch can count into it.
-  if (store_config.num_shards > 1) {
-    cluster.metrics().set_num_shards(store_config.num_shards);
-  }
   // Workers with a kJoinWorker fault event start outside the member set:
   // they own no partitions and receive no dispatch until poll_membership
   // admits them at their join version (engine/fault.hpp).
@@ -29,8 +25,7 @@ AsyncContext::AsyncContext(engine::Cluster& cluster, int num_partitions,
   scheduler_.set_num_partitions(num_partitions);
   // Route the disk tier's counters/fault seams into this run before the
   // first publish can lazily open it. No-op while the tier stays disabled.
-  registry_->sharded_store().set_disk_hooks(&cluster.metrics().disk,
-                                            cluster.faults());
+  registry_->set_disk_hooks(&cluster.metrics().disk, cluster.faults());
   coordinator_.start();
 }
 
@@ -39,9 +34,8 @@ AsyncContext::~AsyncContext() { coordinator_.stop(); }
 void AsyncContext::restore(engine::Version version, std::uint64_t round) {
   coordinator_.restore_version(version);
   scheduler_.resume_round(round);
-  if (registry_->sharded_store().config().disk.enabled) {
-    if (support::Status s = registry_->sharded_store().restore_from_disk(version);
-        !s.is_ok()) {
+  if (registry_->disk_enabled()) {
+    if (support::Status s = registry_->restore_from_disk(version); !s.is_ok()) {
       std::fprintf(stderr,
                    "AsyncContext::restore: disk tier resume failed: %s\n",
                    s.to_string().c_str());
@@ -70,7 +64,7 @@ std::optional<TaggedResult> AsyncContext::collect(
                      failed->status.to_string().c_str());
         std::abort();
       }
-      if (++retries_ > max_retries_total_) {
+      if (++retries_ > kMaxRetriesTotal) {
         std::fprintf(stderr, "AsyncContext::collect: retry budget exhausted\n");
         std::abort();
       }

@@ -84,11 +84,6 @@ class AsyncContext {
   /// fake a successful durable restore.
   void restore(engine::Version version, std::uint64_t round);
 
-  /// Replaces the total failed-task retry budget (default 10'000). Chaos
-  /// runs push far more injected failures through collect() than a healthy
-  /// run ever sees; the budget still backstops infinite retry loops.
-  void set_max_retries(std::uint64_t budget) { max_retries_total_ = budget; }
-
   // -- collection (ASYNCcollect / ASYNCcollectAll) ----------------------------
 
   /// Blocking FIFO collect. If `retry_factory` is non-null, failed tasks
@@ -223,8 +218,11 @@ class AsyncContext {
   Coordinator coordinator_;
   AsyncScheduler scheduler_;
   std::shared_ptr<HistoryRegistry> registry_;
+  /// Total failed-task retries before collect() aborts. Chaos runs push far
+  /// more injected failures through collect() than a healthy run ever sees;
+  /// the budget still backstops infinite retry loops.
+  static constexpr std::uint64_t kMaxRetriesTotal = 10'000;
   std::uint64_t retries_ = 0;
-  std::uint64_t max_retries_total_ = 10'000;
   /// Telemetry anchor for the driver's accumulate segment: the instant the
   /// last successful collect() returned. Epoch = unset (telemetry off, or no
   /// collect yet this update).

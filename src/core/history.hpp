@@ -18,20 +18,23 @@
 // predecessor (8 + 12*nnz wire bytes) instead of a full 8*dim snapshot, and
 // a worker materializes version v from its nearest locally cached ancestor,
 // fetching only the missing chain links.  HistoryRegistry remains the
-// version-keyed facade the solvers and the AsyncContext talk to; the
+// version-keyed facade the solvers and the AsyncContext talk to, and owns the
+// durable disk tier beneath the store (docs/DURABILITY.md); the
 // HistoryBroadcast handle is what task closures capture (the `w_br` of
 // Algorithm 4).
 
 #include <atomic>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
-#include "core/shard_map.hpp"
 #include "engine/broadcast.hpp"
 #include "engine/types.hpp"
 #include "linalg/dense_vector.hpp"
-#include "store/sharded_store.hpp"
+#include "store/disk/disk_tier.hpp"
+#include "store/model_store.hpp"
+#include "support/status.hpp"
 
 namespace asyncml::core {
 
@@ -39,10 +42,12 @@ class HistoryRegistry {
  public:
   explicit HistoryRegistry(engine::BroadcastStore* broadcasts,
                            store::StoreConfig config = {})
-      : store_(broadcasts, config) {}
+      : disk_config_(config.disk), store_(broadcasts, std::move(config)) {}
 
   /// Publishes `w` as the model at `version` (sparse delta or base snapshot,
-  /// per the store's policy); returns the broadcast id it registered.
+  /// per the store's policy); returns the broadcast id it registered.  With
+  /// the disk tier enabled, the first publish of a run that did not resume
+  /// opens the tier fresh.
   engine::BroadcastId publish(const linalg::DenseVector& w, engine::Version version);
 
   /// Broadcast id of a published version (nullopt if unknown/GC'd).
@@ -50,17 +55,10 @@ class HistoryRegistry {
 
   /// Resolves the model at `version`. On a worker thread this routes through
   /// the worker's VersionedModelCache (materialized hit = free; miss fetches
-  /// and charges exactly the missing chain links). Aborts if the version was
-  /// never published or was GC'd — a logic error upstream.
+  /// and charges exactly the missing chain links); on the driver, through
+  /// the uncharged driver cache. Aborts if the version was never published
+  /// or was GC'd — a logic error upstream.
   [[nodiscard]] const linalg::DenseVector& value_at(engine::Version version) const;
-
-  /// Masked resolution on a sharded model plane: fills only the shards in
-  /// `mask`, so coordinates outside them are unspecified in the returned
-  /// vector — callers must read only their support's coordinates (the batch
-  /// kernels pass their partition's shard-support set).  Null mask — and any
-  /// mask when the plane is unsharded — is a full materialization.
-  [[nodiscard]] const linalg::DenseVector& value_at(engine::Version version,
-                                                    const ShardSet* mask) const;
 
   /// Garbage-collects versions older than `min_version` (exact broadcast ids
   /// on the server and in every worker cache; the oldest retained version is
@@ -73,27 +71,45 @@ class HistoryRegistry {
   /// Oldest retained version (for prune policies); nullopt when empty.
   [[nodiscard]] std::optional<engine::Version> oldest() const;
 
-  /// The underlying delta-versioned store of shard 0 — with the default
-  /// single-shard config this is *the* model store, bit-exact with
-  /// pre-sharding builds (chain metadata, publish stats).
-  [[nodiscard]] store::ModelStore& model_store() noexcept {
-    return store_.shard(0);
-  }
+  /// The underlying delta-versioned store (chain metadata, publish stats).
+  [[nodiscard]] store::ModelStore& model_store() noexcept { return store_; }
   [[nodiscard]] const store::ModelStore& model_store() const noexcept {
-    return store_.shard(0);
+    return store_;
   }
 
-  /// The sharded model plane itself (per-shard stats, the ShardMap).
-  [[nodiscard]] store::ShardedModelStore& sharded_store() noexcept {
-    return store_;
-  }
-  [[nodiscard]] const store::ShardedModelStore& sharded_store() const noexcept {
-    return store_;
-  }
+  // ---- Durable disk tier (store/disk/, docs/DURABILITY.md) ---------------
+
+  /// Routes the tier's counters into cluster metrics and its fault seams into
+  /// the run's FaultState. Call before the first publish (AsyncContext ctor);
+  /// both may be null.
+  void set_disk_hooks(engine::DiskTierMetrics* metrics, engine::FaultState* faults);
+
+  /// Whether the run keeps the tier: the configured switch, cleared when the
+  /// first publish could not open the tier and the run went in-memory.
+  [[nodiscard]] bool disk_enabled() const noexcept { return disk_config_.enabled; }
+
+  /// The tier, or null: disabled, or enabled but before the first publish
+  /// (the tier opens lazily with the first publish, kFresh).
+  [[nodiscard]] store::disk::DiskTier* disk_tier() noexcept { return tier_.get(); }
+
+  /// Restart-without-replay: opens the tier in kResume mode (manifest replay,
+  /// torn tail truncated) and anchors the store on the replayed publishes at
+  /// or below `anchor` (the checkpointed model version). A manifest that
+  /// DiskTier::restored_model refuses is returned as its non-OK status, and
+  /// the store is not attached to the tier, so no publish is appended to it.
+  ///
+  /// Must run before the first publish of the resumed run.
+  [[nodiscard]] support::Status restore_from_disk(engine::Version anchor);
 
  private:
+  store::DiskTierConfig disk_config_;
+  // Declared before the store, which borrows it: opened lazily at the first
+  // publish (kFresh) or by restore_from_disk (kResume).
+  std::unique_ptr<store::disk::DiskTier> tier_;
+  engine::DiskTierMetrics* disk_metrics_ = nullptr;
+  engine::FaultState* disk_faults_ = nullptr;
   // mutable: value_at() is logically const but materializes into caches.
-  mutable store::ShardedModelStore store_;
+  mutable store::ModelStore store_;
 };
 
 /// Copyable handle pinned to the version that was current at dispatch time —
@@ -117,16 +133,6 @@ class HistoryBroadcast {
   /// through the SampleVersionTable first, then calls this).
   [[nodiscard]] const linalg::DenseVector& value_at(engine::Version v) const {
     return registry_->value_at(v);
-  }
-
-  /// Masked reads on a sharded model plane (see HistoryRegistry::value_at):
-  /// only coordinates in `mask`'s shards are defined in the result.
-  [[nodiscard]] const linalg::DenseVector& value(const ShardSet* mask) const {
-    return registry_->value_at(pinned_, mask);
-  }
-  [[nodiscard]] const linalg::DenseVector& value_at(engine::Version v,
-                                                    const ShardSet* mask) const {
-    return registry_->value_at(v, mask);
   }
 
  private:

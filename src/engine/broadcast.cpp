@@ -51,8 +51,7 @@ Payload BroadcastCache::get_or_fetch(BroadcastId id, BroadcastClass cls) {
 }
 
 Payload BroadcastCache::admit(BroadcastId id, const Payload& payload,
-                              BroadcastClass cls, std::size_t* charged_bytes) {
-  if (charged_bytes != nullptr) *charged_bytes = 0;
+                              BroadcastClass cls) {
   {
     std::lock_guard lock(mutex_);
     if (const auto it = cache_.find(id); it != cache_.end()) {
@@ -61,7 +60,6 @@ Payload BroadcastCache::admit(BroadcastId id, const Payload& payload,
     }
   }
   if (!payload.has_value()) return payload;
-  if (charged_bytes != nullptr) *charged_bytes = payload.bytes();
   return charge_and_cache(id, payload, cls);
 }
 

@@ -70,12 +70,8 @@ class BroadcastCache {
   /// the model store): a hit is free, a miss charges the transfer exactly
   /// like get_or_fetch but without re-reading the driver store — so a payload
   /// pinned before a concurrent GC still resolves. Returns the cached copy.
-  /// When `charged_bytes` is non-null it receives the modeled bytes this call
-  /// put on the wire (0 on a cache hit) — the hook per-shard byte accounting
-  /// charges from.
   [[nodiscard]] Payload admit(BroadcastId id, const Payload& payload,
-                              BroadcastClass cls = BroadcastClass::kSnapshot,
-                              std::size_t* charged_bytes = nullptr);
+                              BroadcastClass cls = BroadcastClass::kSnapshot);
 
   /// True if `id` is locally cached (no fetch).
   [[nodiscard]] bool contains(BroadcastId id) const;

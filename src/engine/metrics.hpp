@@ -9,8 +9,6 @@
 // broadcasts, fetches, and results.
 
 #include <array>
-#include <cassert>
-#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -167,55 +165,6 @@ class ClusterMetrics {
         .add(bytes);
   }
 
-  /// Per-shard broadcast accounting of the sharded model plane.  Byte totals
-  /// are split by the shard whose delta chain served the fetch, so the fig3
-  /// bench can show sparse runs touching only their support-hit shards.
-  struct ShardCounters {
-    support::RelaxedCounter base_bytes;   ///< full-snapshot bytes fetched
-    support::RelaxedCounter delta_bytes;  ///< sparse-delta bytes fetched
-    support::RelaxedCounter fetches;      ///< driver-hitting fetches
-  };
-
-  /// Sizes the per-shard counter table.  Driver-side, before any dispatch —
-  /// the table is not resized concurrently with counting.
-  void set_num_shards(std::uint32_t num_shards) {
-    shard_counters_.clear();
-    shard_counters_.reserve(num_shards);
-    for (std::uint32_t s = 0; s < num_shards; ++s) {
-      shard_counters_.push_back(std::make_unique<ShardCounters>());
-    }
-  }
-
-  [[nodiscard]] std::uint32_t num_shards() const {
-    return static_cast<std::uint32_t>(shard_counters_.size());
-  }
-
-  /// Attributes one shard-tagged fetch; no-op when the table was never sized
-  /// (unsharded runs) or the store carries no shard tag (`shard < 0`).
-  void count_shard_fetch(std::int32_t shard, BroadcastClass cls, std::size_t bytes) {
-    if (shard < 0 || static_cast<std::size_t>(shard) >= shard_counters_.size()) {
-      return;
-    }
-    ShardCounters& c = *shard_counters_[static_cast<std::size_t>(shard)];
-    c.fetches.add(1);
-    (cls == BroadcastClass::kDelta ? c.delta_bytes : c.base_bytes).add(bytes);
-  }
-
-  [[nodiscard]] const ShardCounters& shard(std::uint32_t s) const {
-    assert(s < shard_counters_.size());
-    return *shard_counters_[s];
-  }
-
-  /// Zeroes the per-shard byte table (run boundaries — the table keeps its
-  /// size; only the counts reset).
-  void reset_shard_counters() {
-    for (auto& c : shard_counters_) {
-      c->base_bytes.reset();
-      c->delta_bytes.reset();
-      c->fetches.reset();
-    }
-  }
-
   // Real CPU time spent inside task functions (nanoseconds), before
   // service-floor padding: the engine's actual compute cost, which the
   // padding otherwise hides. The fused-kernel work shows up here.
@@ -241,11 +190,6 @@ class ClusterMetrics {
   // Durable disk tier under the model store (store/disk/).
   DiskTierMetrics disk;
 
-  // Sharded-model-plane read accounting (store/sharded_store.hpp).
-  support::RelaxedCounter shard_reads;          ///< model materializations
-  support::RelaxedCounter shard_reads_partial;  ///< masked reads touching < S shards
-  support::RelaxedCounter shard_touches;        ///< shard fills summed over reads
-
   /// Per-channel wire accounting. `bytes_sent` is the data-bearing request
   /// frame of a round trip, `bytes_received` its ack — modeled payload bytes
   /// on the in-process backend, actual frame bytes (header + msgpack + lz4)
@@ -268,7 +212,7 @@ class ClusterMetrics {
     return wire_[static_cast<std::size_t>(ch)];
   }
 
-  /// Zeroes the wire table (run boundaries, like reset_shard_counters).
+  /// Zeroes the wire table (run boundaries).
   void reset_wire_counters() {
     for (WireCounters& c : wire_) {
       c.frames.reset();
@@ -281,7 +225,6 @@ class ClusterMetrics {
   std::array<WireCounters, kNumWireChannels> wire_{};
   std::vector<support::Histogram> wait_hists_;
   mutable std::vector<support::Padded<std::mutex>> wait_mutexes_;
-  std::vector<std::unique_ptr<ShardCounters>> shard_counters_;
 };
 
 }  // namespace asyncml::engine

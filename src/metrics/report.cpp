@@ -7,14 +7,6 @@
 
 namespace asyncml::metrics {
 
-void write_trace_csv_header(std::ostream& out) { out << "series,time_ms,update,error\n"; }
-
-void write_trace_csv(std::ostream& out, const std::string& series, const Trace& trace) {
-  for (const TracePoint& p : trace) {
-    out << series << ',' << p.time_ms << ',' << p.update << ',' << p.error << '\n';
-  }
-}
-
 Table::Table(std::vector<std::string> headers) : headers_(std::move(headers)) {}
 
 void Table::add_row(std::vector<std::string> cells) { rows_.push_back(std::move(cells)); }

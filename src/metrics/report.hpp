@@ -1,23 +1,14 @@
 #pragma once
 
-// Experiment output: CSV series (one row per trace point) and fixed-width
-// console tables, so each bench binary prints both the machine-readable data
-// behind a figure and a human-readable summary of the paper-vs-measured
-// comparison.
+// Experiment output: fixed-width console tables, the human-readable summary
+// of the paper-vs-measured comparison each bench binary prints next to the
+// CSV data behind its figure.
 
 #include <iosfwd>
 #include <string>
 #include <vector>
 
-#include "metrics/trace.hpp"
-
 namespace asyncml::metrics {
-
-/// Writes `trace` as CSV rows: series,time_ms,update,error
-void write_trace_csv(std::ostream& out, const std::string& series, const Trace& trace);
-
-/// CSV header matching write_trace_csv.
-void write_trace_csv_header(std::ostream& out);
 
 /// Simple fixed-width table for console summaries.
 class Table {

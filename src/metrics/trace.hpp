@@ -58,8 +58,6 @@ class TraceRecorder {
       const std::function<double(const linalg::DenseVector&)>& objective,
       double baseline = 0.0) const;
 
-  [[nodiscard]] std::size_t num_snapshots() const noexcept { return snapshots_.size(); }
-
  private:
   struct Snapshot {
     double time_ms;

@@ -20,7 +20,7 @@ RunResult AsagaSolver::run(engine::Cluster& cluster, const Workload& workload,
   auto rebuild_factory = [&] {
     return ac.make_fn_factory(
         detail::saga_task_fn(workload, config, w_br, table, run.grad_cfg,
-                             config.batch_fraction, run.shard_support),
+                             config.batch_fraction),
         run.opts);
   };
   core::AsyncScheduler::TaskFactory factory = rebuild_factory();

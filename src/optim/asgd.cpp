@@ -22,8 +22,7 @@ RunResult AsgdSolver::run(engine::Cluster& cluster, const Workload& workload,
   // Factory building this round's gradient tasks against the latest w_br.
   auto rebuild_factory = [&] {
     return ac.make_fn_factory(
-        detail::grad_task_fn(workload, config, w_br, run.grad_cfg, config.batch_fraction,
-                             run.shard_support),
+        detail::grad_task_fn(workload, config, w_br, run.grad_cfg, config.batch_fraction),
         run.opts);
   };
   core::AsyncScheduler::TaskFactory factory = rebuild_factory();

@@ -34,7 +34,7 @@ RunResult EpochVrSolver::run(engine::Cluster& cluster, const Workload& workload,
 
     auto full_results = ac.sync_round_fn(
         detail::grad_task_fn(workload, config, snapshot_br, run.grad_cfg,
-                             /*fraction=*/std::nullopt, run.shard_support),
+                             /*fraction=*/std::nullopt),
         full_opts);
     GradCount mu_sum;
     for (core::TaggedResult& r : full_results) {
@@ -51,7 +51,7 @@ RunResult EpochVrSolver::run(engine::Cluster& cluster, const Workload& workload,
       return ac.make_fn_factory(
           detail::make_svrg_batch_fn(workload.dataset, workload.partitions,
                                      workload.loss, w_br, snapshot_br, run.grad_cfg,
-                                     config.batch_fraction, run.shard_support),
+                                     config.batch_fraction),
           run.opts);
     };
     core::AsyncScheduler::TaskFactory factory = rebuild_factory();

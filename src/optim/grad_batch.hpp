@@ -29,12 +29,10 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "core/history.hpp"
-#include "core/shard_map.hpp"
 #include "data/dataset.hpp"
 #include "data/partition.hpp"
 #include "engine/rdd.hpp"
@@ -182,48 +180,17 @@ inline void fused_grad_sum(const data::Dataset& dataset, const data::RowRange& r
   });
 }
 
-/// Resolves the dispatched model through `w_br`, masked to the partition's
-/// shard-support set when the handle can route it (core::HistoryBroadcast on
-/// a sharded plane). Only coordinates inside the mask's shards are defined in
-/// the result — safe here because the fused bodies read exactly the batch
-/// rows' support, a subset of the partition support the mask was built from.
-template <typename Handle>
-[[nodiscard]] inline const linalg::DenseVector& resolve_model(
-    const Handle& w_br, const core::ShardSet* mask) {
-  if constexpr (std::is_same_v<Handle, core::HistoryBroadcast>) {
-    return w_br.value(mask);
-  } else {
-    (void)mask;
-    return w_br.value();
-  }
-}
-
-/// This task's shard-support mask: the per-partition entry of the solver's
-/// support table (null table or out-of-range partition → unmasked).
-[[nodiscard]] inline const core::ShardSet* shard_mask(
-    const std::shared_ptr<const std::vector<core::ShardSet>>& support,
-    engine::PartitionId partition) {
-  if (support == nullptr || partition < 0 ||
-      static_cast<std::size_t>(partition) >= support->size()) {
-    return nullptr;
-  }
-  return &(*support)[static_cast<std::size_t>(partition)];
-}
-
 /// Fused gradient-sum task (Algorithms 1–2): the batch replacement for
 /// make_aggregate_fn(points.sample(f), GradCount{}, <per-row gradient op>).
 /// `Handle` is engine::Broadcast<DenseVector> or core::HistoryBroadcast.
-/// `support` (optional) masks the model read to the partition's shards.
 template <typename Handle>
 [[nodiscard]] std::shared_ptr<const engine::TaskFn> make_grad_batch_fn(
     data::DatasetPtr dataset, std::vector<data::RowRange> partitions,
     std::shared_ptr<const Loss> loss, Handle w_br, linalg::GradVectorConfig grad_cfg,
-    std::optional<double> fraction,
-    std::shared_ptr<const std::vector<core::ShardSet>> support_table = nullptr) {
+    std::optional<double> fraction) {
   return std::make_shared<const engine::TaskFn>(
       [dataset = std::move(dataset), partitions = std::move(partitions),
-       loss = std::move(loss), w_br, grad_cfg, fraction,
-       support_table = std::move(support_table)](
+       loss = std::move(loss), w_br, grad_cfg, fraction](
           engine::TaskContext& ctx) -> support::StatusOr<engine::Payload> {
         const data::RowRange range =
             partitions.at(static_cast<std::size_t>(ctx.partition));
@@ -233,8 +200,7 @@ template <typename Handle>
         GradCount out{linalg::GradVector(grad_cfg)};
         out.count = rows.vec().size();
         if (out.count > 0) {
-          const linalg::DenseVector& w =
-              resolve_model(w_br, shard_mask(support_table, ctx.partition));
+          const linalg::DenseVector& w = w_br.value();
           fused_grad_sum(*dataset, range, rows.span(), *loss, w.span(), out.grad,
                          arena);
         }
@@ -249,22 +215,18 @@ template <typename Handle>
 /// second historical-margin pass, each sample's history recomputed at the
 /// model version the SampleVersionTable remembers (resolved through
 /// `hist_model`, memoized per distinct version), and the table advanced to
-/// `set_version`.  `HistModel` maps (engine::Version, const core::ShardSet*)
-/// -> const DenseVector& — the mask routes historical reads through the same
-/// shard-support masking as the fresh read.
+/// `set_version`.  `HistModel` maps engine::Version -> const DenseVector&.
 template <typename Handle, typename HistModel>
 [[nodiscard]] std::shared_ptr<const engine::TaskFn> make_saga_batch_fn(
     data::DatasetPtr dataset, std::vector<data::RowRange> partitions,
     std::shared_ptr<const Loss> loss, Handle w_br,
     std::shared_ptr<core::SampleVersionTable> table,
     linalg::GradVectorConfig grad_cfg, std::optional<double> fraction,
-    HistModel hist_model, engine::Version set_version,
-    std::shared_ptr<const std::vector<core::ShardSet>> support_table = nullptr) {
+    HistModel hist_model, engine::Version set_version) {
   return std::make_shared<const engine::TaskFn>(
       [dataset = std::move(dataset), partitions = std::move(partitions),
        loss = std::move(loss), w_br, table = std::move(table), grad_cfg, fraction,
-       hist_model = std::move(hist_model), set_version,
-       support_table = std::move(support_table)](
+       hist_model = std::move(hist_model), set_version](
           engine::TaskContext& ctx) -> support::StatusOr<engine::Payload> {
         const data::RowRange range =
             partitions.at(static_cast<std::size_t>(ctx.partition));
@@ -276,10 +238,9 @@ template <typename Handle, typename HistModel>
         if (out.count > 0) {
           const std::size_t b = rows.vec().size();
           const linalg::DenseVector& all_labels = dataset->labels();
-          const core::ShardSet* mask = shard_mask(support_table, ctx.partition);
 
           // Fresh pass at the pinned model.
-          const linalg::DenseVector& w = resolve_model(w_br, mask);
+          const linalg::DenseVector& w = w_br.value();
           fused_grad_sum(*dataset, range, rows.span(), *loss, w.span(), out.grad,
                          arena);
 
@@ -298,7 +259,7 @@ template <typename Handle, typename HistModel>
             for (const auto& [version, model] : cache) {
               if (version == v) return *model;
             }
-            const linalg::DenseVector& model = hist_model(v, mask);
+            const linalg::DenseVector& model = hist_model(v);
             cache.emplace_back(v, &model);
             return model;
           };
@@ -423,12 +384,10 @@ inline void fused_grad_sum_pair(const data::Dataset& dataset,
     data::DatasetPtr dataset, std::vector<data::RowRange> partitions,
     std::shared_ptr<const Loss> loss, core::HistoryBroadcast w_br,
     core::HistoryBroadcast snapshot_br, linalg::GradVectorConfig grad_cfg,
-    std::optional<double> fraction,
-    std::shared_ptr<const std::vector<core::ShardSet>> support_table = nullptr) {
+    std::optional<double> fraction) {
   return std::make_shared<const engine::TaskFn>(
       [dataset = std::move(dataset), partitions = std::move(partitions),
-       loss = std::move(loss), w_br, snapshot_br, grad_cfg, fraction,
-       support_table = std::move(support_table)](
+       loss = std::move(loss), w_br, snapshot_br, grad_cfg, fraction](
           engine::TaskContext& ctx) -> support::StatusOr<engine::Payload> {
         const data::RowRange range =
             partitions.at(static_cast<std::size_t>(ctx.partition));
@@ -438,11 +397,9 @@ inline void fused_grad_sum_pair(const data::Dataset& dataset,
         GradHist out{linalg::GradVector(grad_cfg), linalg::GradVector(grad_cfg)};
         out.count = rows.vec().size();
         if (out.count > 0) {
-          const core::ShardSet* mask = shard_mask(support_table, ctx.partition);
           fused_grad_sum_pair(*dataset, range, rows.span(), *loss,
-                              w_br.value(mask).span(),
-                              snapshot_br.value(mask).span(), out.grad, out.hist,
-                              arena);
+                              w_br.value().span(), snapshot_br.value().span(),
+                              out.grad, out.hist, arena);
         }
         telemetry::ScopedStageTimer serialize_timer(
             telemetry::Stage::kSerialize);

@@ -66,8 +66,7 @@ RunResult NaiveSagaSolver::run(engine::Cluster& cluster, const Workload& workloa
         workload.dataset, workload.partitions, workload.loss,
         TableHandle{table_br, current_index}, index_table, grad_cfg,
         config.batch_fraction,
-        [table_br](engine::Version last,
-                   const core::ShardSet* /*mask*/) -> const linalg::DenseVector& {
+        [table_br](engine::Version last) -> const linalg::DenseVector& {
           return table_br.value().models[last];
         },
         /*set_version=*/current_index);

@@ -39,14 +39,6 @@ struct RunResult {
   std::uint64_t tasks_speculated = 0;  ///< speculative replicas dispatched
   std::uint64_t duplicates_dropped = 0;  ///< replica results dropped (first-wins)
 
-  // Sharded-model-plane read accounting (docs/SHARDING.md): worker-side model
-  // materializations, how many of them were masked below the full shard
-  // count, and the total shard fills — shard_touches / shard_reads is the
-  // mean shards-per-read, < S on sparse support-masked runs.
-  std::uint64_t shard_reads = 0;
-  std::uint64_t shard_reads_partial = 0;  ///< reads touching < S shards
-  std::uint64_t shard_touches = 0;        ///< shard fills summed over reads
-
   /// Per-channel transport wire accounting (docs/TRANSPORT.md), indexed by
   /// engine::WireChannel. On the in-process backend these are the *charged*
   /// (modeled) bytes; on the socket backends they are *measured* frame bytes

@@ -22,7 +22,7 @@ RunResult SagaSolver::run(engine::Cluster& cluster, const Workload& workload,
   for (std::uint64_t k = run.resumed_at; k < config.updates; ++k) {
     std::vector<core::TaggedResult> results = ac.sync_round_fn(
         detail::saga_task_fn(workload, config, w_br, table, run.grad_cfg,
-                             config.batch_fraction, run.shard_support),
+                             config.batch_fraction),
         run.opts);
 
     GradHist total;

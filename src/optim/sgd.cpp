@@ -21,8 +21,7 @@ RunResult SgdSolver::run(engine::Cluster& cluster, const Workload& workload,
     core::HistoryBroadcast w_br = ac.async_broadcast(w);
 
     std::vector<core::TaggedResult> results = ac.sync_round_fn(
-        detail::grad_task_fn(workload, config, w_br, run.grad_cfg, config.batch_fraction,
-                             run.shard_support),
+        detail::grad_task_fn(workload, config, w_br, run.grad_cfg, config.batch_fraction),
         run.opts);
     tasks += results.size();
 

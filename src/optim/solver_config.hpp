@@ -108,9 +108,9 @@ struct SolverConfig {
   linalg::GradMode grad_mode = linalg::GradMode::kAuto;
 
   /// Delta-versioned model store behind ASYNCbroadcast: delta vs
-  /// full-snapshot publishing, base-snapshot cadence — and the shard count
-  /// of the sharded model plane (store_config.num_shards, docs/SHARDING.md).
-  /// Only read by solvers publishing through the AsyncContext.
+  /// full-snapshot publishing, base-snapshot cadence, and the durable disk
+  /// tier beneath it. Only read by solvers publishing through the
+  /// AsyncContext.
   store::StoreConfig store_config;
 
   /// Span-based telemetry (docs/TELEMETRY.md): per-task pipeline segments

@@ -6,10 +6,9 @@
 //   RunScope  run-metric reset, telemetry, the convergence trace and its
 //             stopwatch, and the RunResult epilogue.
 //   AsyncRun  RunScope plus what the solvers on core::AsyncContext repeat:
-//             the service floor, the gradient representation and
-//             shard-support table, the context with its scheduler policy,
-//             submit options, resume, and the per-update snapshot → GC →
-//             checkpoint.
+//             the service floor, the gradient representation, the context
+//             with its scheduler policy, submit options, resume, and the
+//             per-update snapshot → GC → checkpoint.
 //
 // The timed window opens at start(), which each solver calls where its loop
 // begins: after the context, the policy and, where the solver publishes
@@ -123,7 +122,6 @@ class AsyncRun : public RunScope {
            TaskKind tasks)
       : RunScope(cluster, workload, config),
         grad_cfg(grad_config(workload, config)),
-        shard_support(shard_support_table(workload, config)),
         ac(cluster, workload.num_partitions(), config.store_config) {
     core::SchedulerPolicy policy = scheduler_policy(workload, config);
     if (tasks == TaskKind::kHistoryWriting) {
@@ -150,7 +148,7 @@ class AsyncRun : public RunScope {
   /// queued record: wall_ms and RunResult::disk include that work.
   [[nodiscard]] RunResult finish(std::string algorithm, std::uint64_t updates,
                                  std::uint64_t tasks) {
-    if (auto* tier = ac.history().sharded_store().disk_tier(); tier != nullptr) {
+    if (auto* tier = ac.history().disk_tier(); tier != nullptr) {
       tier->drain();
     }
     return RunScope::finish(std::move(algorithm), updates, tasks);
@@ -168,9 +166,6 @@ class AsyncRun : public RunScope {
   }
 
   const linalg::GradVectorConfig grad_cfg;
-  /// Per-partition shard-support sets: on a sharded plane, workers of a
-  /// sparse workload fetch only the shards their partition touches.
-  const std::shared_ptr<const std::vector<core::ShardSet>> shard_support;
   core::AsyncContext ac;
   core::SubmitOptions opts;
   std::uint64_t resumed_at = 0;  ///< checkpointed update index; 0 on a fresh start

@@ -16,7 +16,6 @@
 
 #include "core/async_context.hpp"
 #include "core/history.hpp"
-#include "core/shard_map.hpp"
 #include "data/dataset.hpp"
 #include "engine/metrics.hpp"
 #include "linalg/blas.hpp"
@@ -49,40 +48,6 @@ namespace asyncml::optim::detail {
 /// SampleVersionTable in core/history.hpp).
 inline constexpr engine::Version kNeverVisited = core::kNeverVisited;
 
-/// Per-partition shard-support sets of a sparse workload on a sharded model
-/// plane (docs/SHARDING.md): for each partition, the sorted set of shards its
-/// rows' column indices touch.  Fused task bodies pass their partition's set
-/// as the read mask, so a 0.2%-density batch materializes only the shards its
-/// support hits instead of assembling all S.  Null when masking cannot help:
-/// an unsharded plane, or a dense dataset (every row touches every shard).
-/// The ShardMap here is a pure function of (dim, S) — identical to the one
-/// the sharded store builds lazily at first publish.
-[[nodiscard]] inline std::shared_ptr<const std::vector<core::ShardSet>>
-shard_support_table(const Workload& workload, const SolverConfig& config) {
-  if (config.store_config.num_shards <= 1 || workload.dataset->is_dense()) {
-    return nullptr;
-  }
-  const core::ShardMap map(static_cast<std::uint32_t>(workload.dim()),
-                           config.store_config.num_shards);
-  if (map.num_shards() <= 1) return nullptr;
-  const linalg::CsrMatrix& csr = workload.dataset->sparse_features();
-  auto table = std::make_shared<std::vector<core::ShardSet>>();
-  table->reserve(workload.partitions.size());
-  std::vector<std::uint8_t> hit(map.num_shards());
-  for (const data::RowRange& range : workload.partitions) {
-    std::fill(hit.begin(), hit.end(), std::uint8_t{0});
-    for (std::size_t r = range.begin; r < range.end; ++r) {
-      for (std::uint32_t col : csr.row(r).indices) hit[map.shard_of(col)] = 1;
-    }
-    core::ShardSet set;
-    for (std::uint32_t s = 0; s < map.num_shards(); ++s) {
-      if (hit[s] != 0) set.ids.push_back(s);
-    }
-    table->push_back(std::move(set));
-  }
-  return table;
-}
-
 inline void reset_run_metrics(engine::ClusterMetrics& m) {
   m.reset_waits();
   m.broadcast_bytes.reset();
@@ -99,10 +64,6 @@ inline void reset_run_metrics(engine::ClusterMetrics& m) {
   m.partitions_stolen.reset();
   m.tasks_speculated.reset();
   m.duplicate_results.reset();
-  m.shard_reads.reset();
-  m.shard_reads_partial.reset();
-  m.shard_touches.reset();
-  m.reset_shard_counters();
   m.reset_wire_counters();
   m.disk.reset();
 }
@@ -127,9 +88,6 @@ inline void fill_run_stats(RunResult& r, const engine::ClusterMetrics& m) {
   r.partitions_stolen = m.partitions_stolen.load();
   r.tasks_speculated = m.tasks_speculated.load();
   r.duplicates_dropped = m.duplicate_results.load();
-  r.shard_reads = m.shard_reads.load();
-  r.shard_reads_partial = m.shard_reads_partial.load();
-  r.shard_touches = m.shard_touches.load();
   for (std::size_t ch = 0; ch < engine::kNumWireChannels; ++ch) {
     const auto& w = m.wire(static_cast<engine::WireChannel>(ch));
     r.wire[ch] = {w.frames.load(), w.bytes_sent.load(), w.bytes_received.load()};
@@ -231,7 +189,7 @@ inline void write_checkpoint(const SolverConfig& config, core::AsyncContext& ac,
   // self-contained v2 format — durability of *this* snapshot is preserved
   // either way.
   if (config.store_config.disk.enabled) {
-    if (auto* tier = ac.history().sharded_store().disk_tier(); tier != nullptr) {
+    if (auto* tier = ac.history().disk_tier(); tier != nullptr) {
       store::disk::CheckpointRecord rec;
       rec.update_index = cp.update_index;
       rec.model_version = cp.model_version;
@@ -341,18 +299,37 @@ inline int dispatch_live(core::AsyncContext& ac, const core::BarrierControl& bar
   };
 }
 
+// ---- Compatibility block for e2ebench/traced.cpp ---------------------------
+// traced.cpp, the end-to-end bench's hand copy of the ASGD, ASAGA and SGD
+// loops, still names the read mask of the deleted sharded model plane: the
+// type core::ShardSet, the per-partition table shard_support_table(workload,
+// config), and a trailing table argument to grad_task_fn and saga_task_fn.
+// With one model store there is nothing to mask, so the type is empty, the
+// table is null and the two functions ignore their trailing parameter. The
+// block runs to the end of the file and goes when traced.cpp does.
+}  // namespace asyncml::optim::detail
+
+namespace asyncml::core {
+struct ShardSet {};
+}  // namespace asyncml::core
+
+namespace asyncml::optim::detail {
+
+[[nodiscard]] inline std::shared_ptr<const std::vector<core::ShardSet>>
+shard_support_table(const Workload& /*workload*/, const SolverConfig& /*config*/) {
+  return nullptr;
+}
+
 /// Gradient-sum task body (Algorithms 1–2): the fused batch kernel over the
 /// workload's partitions. `fraction` engaged = mini-batch sample; nullopt =
-/// full partition pass (epoch heads). `support` is the per-partition
-/// shard-support table (shard_support_table), which masks the model reads on
-/// a sharded plane.
+/// full partition pass (epoch heads).
 template <typename Handle>
 [[nodiscard]] std::shared_ptr<const engine::TaskFn> grad_task_fn(
     const Workload& workload, const SolverConfig& /*config*/, Handle w_br,
     linalg::GradVectorConfig grad_cfg, std::optional<double> fraction,
-    std::shared_ptr<const std::vector<core::ShardSet>> support = nullptr) {
+    std::shared_ptr<const std::vector<core::ShardSet>> = nullptr) {
   return make_grad_batch_fn(workload.dataset, workload.partitions, workload.loss, w_br,
-                            grad_cfg, fraction, std::move(support));
+                            grad_cfg, fraction);
 }
 
 /// SAGA task body (Algorithm 4): fresh gradient at the pinned model,
@@ -362,14 +339,14 @@ template <typename Handle>
     const Workload& workload, const SolverConfig& /*config*/,
     core::HistoryBroadcast w_br, std::shared_ptr<core::SampleVersionTable> table,
     linalg::GradVectorConfig grad_cfg, std::optional<double> fraction,
-    std::shared_ptr<const std::vector<core::ShardSet>> support = nullptr) {
+    std::shared_ptr<const std::vector<core::ShardSet>> = nullptr) {
   return make_saga_batch_fn(
       workload.dataset, workload.partitions, workload.loss, w_br, std::move(table),
       grad_cfg, fraction,
-      [w_br](engine::Version v, const core::ShardSet* mask) -> const linalg::DenseVector& {
-        return w_br.value_at(v, mask);
+      [w_br](engine::Version v) -> const linalg::DenseVector& {
+        return w_br.value_at(v);
       },
-      w_br.version(), std::move(support));
+      w_br.version());
 }
 
 }  // namespace asyncml::optim::detail

@@ -122,10 +122,32 @@ void DiskTier::publish(PublishRecord record, engine::Payload base,
   enqueue(std::move(job));
 }
 
-void DiskTier::gc_floor(std::uint32_t shard, std::uint64_t floor) {
+void DiskTier::gc_floor(std::uint64_t floor) {
   Job job;
-  job.record = GcFloor{shard, floor};
+  job.record = GcFloor{0, floor};
   enqueue(std::move(job));
+}
+
+StatusOr<DiskTier::ModelHistory> DiskTier::restored_model() const {
+  // Both maps are ordered by shard id, so their last key is the largest.
+  std::uint32_t top = 0;
+  if (!restored_.shards.empty()) top = restored_.shards.rbegin()->first;
+  if (!restored_.gc_floors.empty()) {
+    top = std::max(top, restored_.gc_floors.rbegin()->first);
+  }
+  if (top != 0) {
+    return Status(StatusCode::kFailedPrecondition,
+                  "disk_tier: the manifest in '" + cfg_.dir +
+                      "' holds records of model shard " + std::to_string(top) +
+                      "; it was written by a sharded model store and cannot "
+                      "be resumed as one model");
+  }
+  static const std::map<std::uint64_t, PublishRecord> kNoRecords;
+  const auto records = restored_.shards.find(0);
+  const auto floor = restored_.gc_floors.find(0);
+  return ModelHistory{
+      records != restored_.shards.end() ? &records->second : &kNoRecords,
+      floor != restored_.gc_floors.end() ? floor->second : 0};
 }
 
 Status DiskTier::checkpoint(CheckpointRecord record, engine::Payload model,

@@ -42,6 +42,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <list>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -91,8 +92,9 @@ class DiskTier {
   /// a stderr line.
   void publish(PublishRecord record, engine::Payload base, engine::Payload delta);
 
-  /// Queues a gc_floor record.
-  void gc_floor(std::uint32_t shard, std::uint64_t floor);
+  /// Queues a gc_floor record (manifest shard 0, like every publish record
+  /// the model store writes).
+  void gc_floor(std::uint64_t floor);
 
   /// Commits a checkpoint record with its model and named aux blobs, and
   /// waits. The writer fills record.model_digest and record.aux. OK means
@@ -117,6 +119,19 @@ class DiskTier {
 
   /// Manifest state replayed at open (empty in kFresh mode).
   [[nodiscard]] const ManifestState& restored() const noexcept { return restored_; }
+
+  /// The replayed history of the one model the store writes: the publish
+  /// records and the GC floor of manifest shard 0.
+  struct ModelHistory {
+    const std::map<std::uint64_t, PublishRecord>* records = nullptr;  ///< never null
+    std::uint64_t gc_floor = 0;
+  };
+
+  /// restored() as one model's history. A manifest with publish or gc_floor
+  /// records of any other shard was written by a sharded build of the model
+  /// store; it is refused (kFailedPrecondition) rather than resumed as if
+  /// shard 0 held the whole model.
+  [[nodiscard]] support::StatusOr<ModelHistory> restored_model() const;
 
   [[nodiscard]] BlobStore& blobs() noexcept { return *blobs_; }
   [[nodiscard]] const std::string& dir() const noexcept { return cfg_.dir; }

@@ -67,13 +67,7 @@ const linalg::DenseVector& VersionedModelCache::value_at(engine::Version version
       // and materialize it zero-copy by aliasing the payload.
       engine::Payload payload = head.payload;
       if (bcache_ != nullptr) {
-        std::size_t charged = 0;
-        payload = bcache_->admit(head.id, payload,
-                                 engine::BroadcastClass::kSnapshot, &charged);
-        if (charged != 0 && shard_tag_ >= 0 && metrics_ != nullptr) {
-          metrics_->count_shard_fetch(shard_tag_,
-                                      engine::BroadcastClass::kSnapshot, charged);
-        }
+        payload = bcache_->admit(head.id, payload, engine::BroadcastClass::kSnapshot);
       }
       std::shared_ptr<const linalg::DenseVector> base =
           payload.share<linalg::DenseVector>();
@@ -109,13 +103,7 @@ const linalg::DenseVector& VersionedModelCache::value_at(engine::Version version
     for (std::size_t i = 1; i < chain.size(); ++i) {
       engine::Payload payload = chain[i].payload;
       if (bcache_ != nullptr) {
-        std::size_t charged = 0;
-        payload = bcache_->admit(chain[i].id, payload,
-                                 engine::BroadcastClass::kDelta, &charged);
-        if (charged != 0 && shard_tag_ >= 0 && metrics_ != nullptr) {
-          metrics_->count_shard_fetch(shard_tag_, engine::BroadcastClass::kDelta,
-                                      charged);
-        }
+        payload = bcache_->admit(chain[i].id, payload, engine::BroadcastClass::kDelta);
       }
       payload.get<ModelDelta>().apply_to(w.span());
     }

@@ -51,12 +51,10 @@ class ModelStore;
 class VersionedModelCache {
  public:
   /// `bcache`/`metrics` may be null (the driver-side cache): resolution then
-  /// reads payloads without charging.  `shard_tag` ≥ 0 additionally attributes
-  /// every charged fetch to that shard's ClusterMetrics counters.
+  /// reads payloads without charging.
   VersionedModelCache(const ModelStore* store, engine::BroadcastCache* bcache,
-                      engine::ClusterMetrics* metrics,
-                      std::int32_t shard_tag = -1)
-      : store_(store), bcache_(bcache), metrics_(metrics), shard_tag_(shard_tag) {}
+                      engine::ClusterMetrics* metrics)
+      : store_(store), bcache_(bcache), metrics_(metrics) {}
 
   VersionedModelCache(const VersionedModelCache&) = delete;
   VersionedModelCache& operator=(const VersionedModelCache&) = delete;
@@ -88,7 +86,6 @@ class VersionedModelCache {
   const ModelStore* store_;
   engine::BroadcastCache* bcache_;   ///< null on the driver — no charging
   engine::ClusterMetrics* metrics_;  ///< null on the driver
-  std::int32_t shard_tag_ = -1;      ///< ≥0: attribute fetches to this shard
   mutable std::mutex mutex_;
   std::condition_variable resolved_cv_;
   std::unordered_map<engine::Version, std::shared_ptr<const linalg::DenseVector>>

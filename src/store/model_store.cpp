@@ -166,7 +166,6 @@ engine::BroadcastId ModelStore::publish(const linalg::DenseVector& w,
     // payloads alive whatever GC erases meanwhile. A failed write drops this
     // version's record (durability degrades, never correctness).
     disk::PublishRecord rec;
-    rec.shard = manifest_shard_;
     rec.version = version;
     rec.parent = entry.parent;
     rec.base_bytes = entry.base_bytes;
@@ -176,10 +175,7 @@ engine::BroadcastId ModelStore::publish(const linalg::DenseVector& w,
   return entry.has_base() ? entry.base_id : entry.delta_id;
 }
 
-void ModelStore::attach_disk(disk::DiskTier* tier, std::uint32_t manifest_shard) {
-  tier_ = tier;
-  manifest_shard_ = manifest_shard;
-}
+void ModelStore::attach_disk(disk::DiskTier* tier) { tier_ = tier; }
 
 void ModelStore::restore_from_manifest(
     const std::map<std::uint64_t, disk::PublishRecord>& records,
@@ -521,7 +517,7 @@ void ModelStore::gc_below(engine::Version min_version) {
   }
   // The durable floor record makes the retained range self-describing: a
   // restart re-derives its GC bound from the manifest, never from replay.
-  if (tier_ != nullptr && floor_advanced) tier_->gc_floor(manifest_shard_, min_version);
+  if (tier_ != nullptr && floor_advanced) tier_->gc_floor(min_version);
 }
 
 VersionedModelCache& ModelStore::cache_for(engine::WorkerId worker,
@@ -533,7 +529,7 @@ VersionedModelCache& ModelStore::cache_for(engine::WorkerId worker,
   if (index >= worker_caches_.size()) worker_caches_.resize(index + 1);
   if (worker_caches_[index] == nullptr) {
     worker_caches_[index] =
-        std::make_unique<VersionedModelCache>(this, bcache, metrics, shard_tag_);
+        std::make_unique<VersionedModelCache>(this, bcache, metrics);
   }
   return *worker_caches_[index];
 }
@@ -566,14 +562,6 @@ std::optional<engine::Version> ModelStore::oldest() const {
   std::lock_guard lock(mutex_);
   if (entries_.empty()) return std::nullopt;
   return entries_.begin()->first;
-}
-
-std::optional<engine::Version> ModelStore::latest_at_or_below(
-    engine::Version version) const {
-  std::lock_guard lock(mutex_);
-  auto it = entries_.upper_bound(version);
-  if (it == entries_.begin()) return std::nullopt;
-  return std::prev(it)->first;
 }
 
 engine::Version ModelStore::gc_floor() const {

@@ -168,19 +168,6 @@ class ModelStore {
   /// Driver-side materialization cache: same resolution logic, no charging.
   [[nodiscard]] VersionedModelCache& driver_cache();
 
-  /// Newest published version ≤ `version` (nullopt when every entry is above
-  /// it or the store is empty).  The sharded plane uses this to translate a
-  /// global GC floor into each shard's sparser version set: a shard that
-  /// skipped publishes still resolves version v from its newest entry ≤ v.
-  [[nodiscard]] std::optional<engine::Version> latest_at_or_below(
-      engine::Version version) const;
-
-  /// Tags this store as shard `shard` of a sharded model plane (-1 = untagged,
-  /// the default): shard-tagged stores attribute their caches' fetch bytes to
-  /// ClusterMetrics::count_shard_fetch.  Set before any cache is created.
-  void set_shard_tag(std::int32_t shard) noexcept { shard_tag_ = shard; }
-  [[nodiscard]] std::int32_t shard_tag() const noexcept { return shard_tag_; }
-
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::optional<engine::Version> oldest() const;
   /// Versions below this have been GC'd (resolution aborts).
@@ -191,11 +178,10 @@ class ModelStore {
   // -- durable disk tier (docs/DURABILITY.md) --------------------------------
 
   /// Attaches the durable tier: every publish queues its snapshot and delta
-  /// payloads and a manifest record under `manifest_shard` to the tier's
-  /// writer thread, and the resolution walk faults lazy entries in from it.
-  /// The tier is shared across shards and outlives the store; call before
-  /// the first publish.
-  void attach_disk(disk::DiskTier* tier, std::uint32_t manifest_shard);
+  /// payloads and a manifest record to the tier's writer thread, and the
+  /// resolution walk faults lazy entries in from it. The tier outlives the
+  /// store; call before the first publish.
+  void attach_disk(disk::DiskTier* tier);
 
   /// Rebuilds the version map from replayed manifest records: each record
   /// becomes a lazy entry (content hashes set, no in-memory payload) so a
@@ -271,9 +257,7 @@ class ModelStore {
   std::vector<std::uint32_t> changed_;
   engine::Version gc_floor_ = 0;
   StoreStats stats_;
-  std::int32_t shard_tag_ = -1;
-  disk::DiskTier* tier_ = nullptr;    ///< durable tier (null = in-memory only)
-  std::uint32_t manifest_shard_ = 0;  ///< this store's shard id in the manifest
+  disk::DiskTier* tier_ = nullptr;  ///< durable tier (null = in-memory only)
   /// Set by restore_from_manifest; GC clamps to it until a newer base lands.
   std::optional<engine::Version> restore_anchor_;
 

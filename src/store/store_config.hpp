@@ -54,12 +54,6 @@ struct StoreConfig {
   /// the delta-chain length a cold worker must fetch to materialize a model.
   std::uint32_t base_interval = 16;
 
-  /// Coordinator shards the model plane is partitioned across (clamped to the
-  /// model dimension at first publish).  1 = the unsharded reference: the
-  /// ShardedModelStore delegates wholesale to a single ModelStore and every
-  /// trajectory is bit-exact with pre-sharding builds.  docs/SHARDING.md.
-  std::uint32_t num_shards = 1;
-
   /// Durable disk tier beneath the store. Queued writes + read-fault-in
   /// only: a live run never *reads* from disk, so trajectories are
   /// bit-identical with the tier on or off; restores and cold joiners

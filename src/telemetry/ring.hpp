@@ -2,10 +2,10 @@
 
 // Lock-free per-executor-thread trace ring with drop-OLDEST overwrite.
 //
-// support::SpscRing rejects pushes when full (the newest record would be the
-// one lost), which is the wrong policy for telemetry: under saturation the
-// interesting records are the most recent ones, and the producer must never
-// block or branch on the consumer. TraceRing therefore always overwrites —
+// A ring that rejects pushes when full loses the newest record, which is the
+// wrong policy for telemetry: under saturation the interesting records are
+// the most recent ones, and the producer must never block or branch on the
+// consumer. TraceRing therefore always overwrites —
 // a producer lap simply claims the oldest unharvested slots — and the
 // harvest cycle counts what it lost.
 //

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 namespace asyncml::core {
 namespace {
 
@@ -49,6 +51,41 @@ TEST(HistoryRegistry, PruneDoesNotTouchForeignBroadcasts) {
   registry.publish(linalg::DenseVector{1.0}, 0);
   registry.prune_below(100);
   EXPECT_TRUE(store.get(foreign).has_value());
+}
+
+// Random sparse publishes interleaved with GC: every retained version still
+// resolves bit-exactly to what was published.
+TEST(HistoryRegistry, PublishResolveGcStorm) {
+  engine::BroadcastStore store;
+  HistoryRegistry registry(&store);
+  const std::size_t dim = 64;
+  linalg::DenseVector w(dim);
+  std::map<engine::Version, linalg::DenseVector> published;
+
+  std::uint64_t rng = 12345;
+  const auto next = [&rng] {
+    rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+    return rng >> 33;
+  };
+  for (engine::Version v = 0; v < 40; ++v) {
+    const std::size_t touches = 1 + next() % 4;
+    for (std::size_t t = 0; t < touches; ++t) {
+      w[next() % dim] = static_cast<double>(next() % 1000) / 7.0;
+    }
+    registry.publish(w, v);
+    published.emplace(v, w);
+    if (v % 8 == 7) {
+      const engine::Version floor = v - 4;
+      registry.prune_below(floor);
+      published.erase(published.begin(), published.lower_bound(floor));
+    }
+    for (const auto& [q, want] : published) {
+      const linalg::DenseVector& got = registry.value_at(q);
+      for (std::size_t i = 0; i < dim; ++i) {
+        ASSERT_EQ(got[i], want[i]) << "v=" << q << " i=" << i;
+      }
+    }
+  }
 }
 
 TEST(HistoryBroadcast, PinnedValueAndHistoricalValue) {

@@ -89,18 +89,15 @@ void expect_same_task(const engine::TaskFn& fused, const engine::TaskFn& ref,
   if constexpr (std::is_same_v<Payload, GradHist>) expect_bit_equal(got.hist, want.hist);
 }
 
-/// A HistoryRegistry holding `models` as versions 0, 1, … (on `num_shards`
-/// shards), plus one handle pinned at each version.
+/// A HistoryRegistry holding `models` as versions 0, 1, …, plus one handle
+/// pinned at each version.
 struct History {
   engine::BroadcastStore store;
   std::shared_ptr<core::HistoryRegistry> registry;
   std::vector<core::HistoryBroadcast> handles;
 
-  History(std::initializer_list<const linalg::DenseVector*> models,
-          std::uint32_t num_shards = 1) {
-    store::StoreConfig cfg;
-    cfg.num_shards = num_shards;
-    registry = std::make_shared<core::HistoryRegistry>(&store, cfg);
+  explicit History(std::initializer_list<const linalg::DenseVector*> models) {
+    registry = std::make_shared<core::HistoryRegistry>(&store);
     for (const linalg::DenseVector* w : models) {
       const auto v = static_cast<engine::Version>(handles.size());
       registry->publish(*w, v);
@@ -125,8 +122,7 @@ class TaskBodySweep : public ::testing::TestWithParam<Case> {
   /// Two laps of SAGA tasks over tables that start at kNeverVisited: lap 1
   /// reads version 0 and takes the never-visited branch, lap 2 reads
   /// version 1 and recomputes visited rows' history at version 0.
-  void check_saga_laps(History& history,
-                       std::shared_ptr<const std::vector<core::ShardSet>> support) {
+  void check_saga_laps(History& history) {
     auto fused_table =
         std::make_shared<core::SampleVersionTable>(workload_->n(), core::kNeverVisited);
     auto ref_table =
@@ -134,7 +130,7 @@ class TaskBodySweep : public ::testing::TestWithParam<Case> {
     for (int lap = 0; lap < 2; ++lap) {
       const core::HistoryBroadcast& w_br = history.handles[lap];
       const auto fused = detail::saga_task_fn(*workload_, config_, w_br, fused_table,
-                                              grad_cfg_, config_.batch_fraction, support);
+                                              grad_cfg_, config_.batch_fraction);
       const auto ref = reference::saga_task_fn(*workload_, w_br, ref_table, grad_cfg_,
                                                config_.batch_fraction);
       for (int p = 0; p < kPartitions; ++p) {
@@ -184,7 +180,7 @@ TEST_P(TaskBodySweep, GradBodyMatchesPerRowWithHistoryBroadcast) {
 
 TEST_P(TaskBodySweep, SagaBodyMatchesPerRowOverTwoLaps) {
   History history({&w_old_, &w_new_});
-  check_saga_laps(history, nullptr);
+  check_saga_laps(history);
 }
 
 TEST_P(TaskBodySweep, SvrgBodyMatchesPerRow) {
@@ -198,20 +194,6 @@ TEST_P(TaskBodySweep, SvrgBodyMatchesPerRow) {
   const auto ref = reference::svrg_task_fn(*workload_, w_br, snapshot_br, grad_cfg_,
                                            config_.batch_fraction);
   for (int p = 0; p < kPartitions; ++p) expect_same_task<GradHist>(*fused, *ref, p, 9);
-}
-
-// On a 4-shard plane the fused bodies read only the shards their partition's
-// support touches; the reference materializes every shard.
-TEST_P(TaskBodySweep, MaskedBodiesOnFourShardsMatchUnmaskedPerRow) {
-  config_.store_config.num_shards = 4;
-  const auto support = detail::shard_support_table(*workload_, config_);
-  History history({&w_old_, &w_new_}, /*num_shards=*/4);
-  const auto fused = detail::grad_task_fn(*workload_, config_, history.handles[1],
-                                          grad_cfg_, config_.batch_fraction, support);
-  const auto ref = reference::grad_task_fn(*workload_, history.handles[1], grad_cfg_,
-                                           config_.batch_fraction);
-  for (int p = 0; p < kPartitions; ++p) expect_same_task<GradCount>(*fused, *ref, p, 5);
-  check_saga_laps(history, support);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -7,7 +7,7 @@
 //     restore fall back to the previous checkpoint record (quarantine, no
 //     abort) and the continuation is still bit-exact;
 //   * the tier itself is invisible to the math: disk on vs off is
-//     bit-identical for S ∈ {1, 2, 4, 8}.
+//     bit-identical.
 //
 // The child leg runs through an env-var hook evaluated at static-init time:
 // the re-exec'd binary sees ASYNCML_DISK_CHILD_DIR, runs the solver leg, and
@@ -229,8 +229,8 @@ TEST(DiskRecovery, TornCheckpointBlobFallsBackToOlderRecordBitExactly) {
 }
 
 // The durable tier is write-through behind the in-memory plane: turning it on
-// may never change a single bit of the trajectory, at any shard count.
-TEST(DiskRecovery, DiskOnOffIsBitIdenticalAcrossShardCounts) {
+// may never change a single bit of the trajectory.
+TEST(DiskRecovery, DiskOnOffIsBitIdentical) {
   data::synthetic::SparseSpec spec;
   spec.rows = 160;
   spec.cols = 96;
@@ -240,35 +240,30 @@ TEST(DiskRecovery, DiskOnOffIsBitIdenticalAcrossShardCounts) {
   auto dataset = std::make_shared<const data::Dataset>(problem.dataset);
   const Workload workload = Workload::create(dataset, 8, make_least_squares());
 
-  for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
-    SolverConfig config;
-    config.updates = 24;
-    config.batch_fraction = 0.25;
-    config.service_floor_ms = 0.1;
-    config.eval_every = 8;
-    config.seed = 23;
-    config.step = inverse_decay_step(0.05, 1.0, 0.01);
-    config.store_config.num_shards = shards;
+  SolverConfig config;
+  config.updates = 24;
+  config.batch_fraction = 0.25;
+  config.service_floor_ms = 0.1;
+  config.eval_every = 8;
+  config.seed = 23;
+  config.step = inverse_decay_step(0.05, 1.0, 0.01);
 
-    engine::Cluster c_mem(quiet_config(4));
-    const RunResult in_memory = SgdSolver::run(c_mem, workload, config);
+  engine::Cluster c_mem(quiet_config(4));
+  const RunResult in_memory = SgdSolver::run(c_mem, workload, config);
 
-    config.store_config.disk.enabled = true;
-    config.store_config.disk.dir =
-        fresh_dir("onoff_s" + std::to_string(shards));
-    engine::Cluster c_disk(quiet_config(4));
-    const RunResult durable = SgdSolver::run(c_disk, workload, config);
+  config.store_config.disk.enabled = true;
+  config.store_config.disk.dir = fresh_dir("onoff");
+  engine::Cluster c_disk(quiet_config(4));
+  const RunResult durable = SgdSolver::run(c_disk, workload, config);
 
-    EXPECT_TRUE(linalg::bitwise_equal(in_memory.final_w, durable.final_w))
-        << "disk tier changed the trajectory at S=" << shards;
-    ASSERT_EQ(durable.trace.size(), in_memory.trace.size());
-    for (std::size_t i = 0; i < in_memory.trace.size(); ++i) {
-      EXPECT_EQ(durable.trace[i].error, in_memory.trace[i].error)
-          << "trace point " << i << " S=" << shards;
-    }
-    // The tier actually ran: blobs were written through.
-    EXPECT_GT(c_disk.metrics().disk.blob_writes.load(), 0u) << "S=" << shards;
+  EXPECT_TRUE(linalg::bitwise_equal(in_memory.final_w, durable.final_w))
+      << "disk tier changed the trajectory";
+  ASSERT_EQ(durable.trace.size(), in_memory.trace.size());
+  for (std::size_t i = 0; i < in_memory.trace.size(); ++i) {
+    EXPECT_EQ(durable.trace[i].error, in_memory.trace[i].error) << "trace point " << i;
   }
+  // The tier actually ran: blobs were written through.
+  EXPECT_GT(c_disk.metrics().disk.blob_writes.load(), 0u);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // DiskTier + ModelStore durability integration: payload round-trips through
 // the LRU and the blob files, dedup, fresh-open manifest rotation, resume
 // replay, every injected fault seam (fail_write / torn_write / corrupt_blob /
-// fail_read), quarantine with fallback to the nearest intact ancestor, and
-// the GC-after-restore anchor regression.
+// fail_read), quarantine with fallback to the nearest intact ancestor, the
+// GC-after-restore anchor regression, and the refusal to resume a manifest
+// that a sharded build of the store wrote.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "core/history.hpp"
 #include "engine/fault.hpp"
 #include "engine/metrics.hpp"
 #include "engine/payload.hpp"
@@ -22,6 +24,7 @@
 #include "store/disk/blob.hpp"
 #include "store/disk/blob_store.hpp"
 #include "store/disk/disk_tier.hpp"
+#include "store/disk/manifest.hpp"
 #include "store/model_cache.hpp"
 #include "store/model_store.hpp"
 
@@ -150,7 +153,7 @@ TEST(DiskTier, ResumeReplaysPublishesFloorsAndCheckpoints) {
         tier->publish(rec, {}, payload_of(make_model(4, static_cast<double>(v))));
       }
     }
-    tier->gc_floor(0, 2);
+    tier->gc_floor(2);
     CheckpointRecord cp;
     cp.update_index = 9;
     cp.model_version = 3;
@@ -172,6 +175,41 @@ TEST(DiskTier, ResumeReplaysPublishesFloorsAndCheckpoints) {
   EXPECT_EQ(st.checkpoints[0].model_digest, model_digest);
   // The blobs the replayed records point at are still fetchable.
   EXPECT_TRUE(tier->fetch_payload(model_digest).is_ok());
+}
+
+// A sharded build of the model store wrote records for shards other than 0.
+// Resumed as one model, shard 0's slice would pass for the whole model, so
+// the restore refuses such a directory: with a shard-1 publish record, and
+// with only a shard-1 gc_floor record.
+TEST(DiskTier, HistoryRestoreRefusesAManifestOfAShardedBuild) {
+  PublishRecord base;
+  base.version = 0;
+  base.has_base = true;
+  base.base_digest[0] = 1;
+  base.base_bytes = 64;
+  PublishRecord other_shard = base;
+  other_shard.shard = 1;
+  const std::vector<std::vector<std::uint8_t>> foreign = {
+      encode_publish_record(other_shard), encode_gc_floor_record(/*shard=*/1, 0)};
+  for (std::size_t i = 0; i < foreign.size(); ++i) {
+    const std::string dir = fresh_dir("tier_sharded_" + std::to_string(i));
+    fs::create_directories(dir);
+    std::vector<std::uint8_t> bytes = manifest_header();
+    for (const auto& record : {encode_publish_record(base), foreign[i]}) {
+      bytes.insert(bytes.end(), record.begin(), record.end());
+    }
+    std::ofstream(dir + "/MANIFEST", std::ios::binary)
+        .write(reinterpret_cast<const char*>(bytes.data()),
+               static_cast<std::streamsize>(bytes.size()));
+
+    engine::BroadcastStore broadcasts;
+    StoreConfig config;
+    config.disk = tier_config(dir);
+    core::HistoryRegistry history(&broadcasts, config);
+    const support::Status status = history.restore_from_disk(/*anchor=*/0);
+    EXPECT_EQ(status.code(), support::StatusCode::kFailedPrecondition)
+        << "case " << i << ": " << status.to_string();
+  }
 }
 
 // -- fault seams, one at a time (BlobStore level, no LRU in the way) ---------
@@ -300,14 +338,14 @@ TEST(DiskTierModelStore, RestoreServesHistoryWithoutReplay) {
     auto tier = DiskTier::open(tier_config(dir), OpenMode::kFresh).value();
     engine::BroadcastStore broadcasts;
     ModelStore store(&broadcasts, deep_chain_config());
-    store.attach_disk(tier.get(), /*manifest_shard=*/0);
+    store.attach_disk(tier.get());
     models = publish_chain(store, 5);
   }
 
   auto tier = DiskTier::open(tier_config(dir), OpenMode::kResume).value();
   engine::BroadcastStore broadcasts;
   ModelStore store(&broadcasts, deep_chain_config());
-  store.attach_disk(tier.get(), 0);
+  store.attach_disk(tier.get());
   const auto& st = tier->restored();
   ASSERT_TRUE(st.shards.contains(0));
   const std::uint64_t floor =
@@ -334,7 +372,7 @@ TEST(DiskTierModelStore, QuarantinedBlobFallsBackToNearestIntactAncestor) {
     auto tier = DiskTier::open(tier_config(dir), OpenMode::kFresh).value();
     engine::BroadcastStore broadcasts;
     ModelStore store(&broadcasts, deep_chain_config());
-    store.attach_disk(tier.get(), 0);
+    store.attach_disk(tier.get());
     models = publish_chain(store, 5);
   }
 
@@ -358,7 +396,7 @@ TEST(DiskTierModelStore, QuarantinedBlobFallsBackToNearestIntactAncestor) {
 
   engine::BroadcastStore broadcasts;
   ModelStore store(&broadcasts, deep_chain_config());
-  store.attach_disk(tier.get(), 0);
+  store.attach_disk(tier.get());
   store.restore_from_manifest(tier->restored().shards.at(0), 0, /*anchor=*/5);
 
   // v5's chain runs through the rotted v4 delta: resolution must not crash
@@ -387,14 +425,14 @@ TEST(DiskTierModelStore, GcAfterRestoreNeverUnlinksTheAnchor) {
     auto tier = DiskTier::open(tier_config(dir), OpenMode::kFresh).value();
     engine::BroadcastStore broadcasts;
     ModelStore store(&broadcasts, deep_chain_config());
-    store.attach_disk(tier.get(), 0);
+    store.attach_disk(tier.get());
     models = publish_chain(store, 5);
   }
 
   auto tier = DiskTier::open(tier_config(dir), OpenMode::kResume).value();
   engine::BroadcastStore broadcasts;
   ModelStore store(&broadcasts, deep_chain_config());
-  store.attach_disk(tier.get(), 0);
+  store.attach_disk(tier.get());
   store.restore_from_manifest(tier->restored().shards.at(0), 0, /*anchor=*/5);
   ASSERT_EQ(store.restore_anchor(), std::optional<engine::Version>(5));
 

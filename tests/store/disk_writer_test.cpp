@@ -90,8 +90,7 @@ struct DurableRun {
 /// A 1-worker × 1-core durable SGD run with GC and checkpoints
 /// every 8 updates: synchronous, so every byte the tier writes is
 /// deterministic.
-DurableRun durable_run(std::uint32_t shards, std::uint64_t updates,
-                       const engine::FaultPlan& faults = {},
+DurableRun durable_run(std::uint64_t updates, const engine::FaultPlan& faults = {},
                        double retry_backoff_ms = 0.5) {
   data::synthetic::SparseSpec spec;
   spec.rows = 160;
@@ -103,7 +102,7 @@ DurableRun durable_run(std::uint32_t shards, std::uint64_t updates,
       optim::Workload::create(dataset, 4, optim::make_least_squares());
 
   DurableRun run;
-  run.dir = fresh_dir("writer_golden_s" + std::to_string(shards));
+  run.dir = fresh_dir("writer_golden");
   optim::SolverConfig config;
   config.updates = updates;
   config.batch_fraction = 0.05;
@@ -114,7 +113,6 @@ DurableRun durable_run(std::uint32_t shards, std::uint64_t updates,
   config.gc_every = 5;
   config.checkpoint_every = 8;
   config.checkpoint_path = run.dir + ".ckpt";
-  config.store_config.num_shards = shards;
   config.store_config.base_interval = 6;
   config.store_config.disk.enabled = true;
   config.store_config.disk.dir = run.dir;
@@ -142,24 +140,12 @@ std::string objects_hash(const std::string& dir) {
 
 // The hashes pin which bytes reach disk (stable over repeated runs); group
 // commit may change only when they are written.
-TEST(DiskWriter, GoldenManifestAndObjectsAtOneAndFourShards) {
-  struct Golden {
-    std::uint32_t shards;
-    const char* manifest;
-    const char* objects;
-  };
-  const Golden goldens[] = {
-      {1, "0225e923afe7c01564104978ba5432121ca32327462d0e6213c4734c63fd829a",
-       "c06d5a9050aa1e1e2e7f161e7bb4c73ae7b8cea1b3700508ef0ca374c0cdd4a7"},
-      {4, "f702a50e7afc14d0d86c186b760721dfd2b762ef64e123434cc82e2077cf4ffb",
-       "284cb92fbdc97cb93dbfc0e41ed6f11e2f5ed8185b311fee8485f6fd1ec2570e"},
-  };
-  for (const Golden& g : goldens) {
-    const DurableRun run = durable_run(g.shards, /*updates=*/24);
-    EXPECT_EQ(sha256_hex_of(read_file(run.dir + "/MANIFEST")), g.manifest)
-        << "S=" << g.shards;
-    EXPECT_EQ(objects_hash(run.dir), g.objects) << "S=" << g.shards;
-  }
+TEST(DiskWriter, GoldenManifestAndObjects) {
+  const DurableRun run = durable_run(/*updates=*/24);
+  EXPECT_EQ(sha256_hex_of(read_file(run.dir + "/MANIFEST")),
+            "0225e923afe7c01564104978ba5432121ca32327462d0e6213c4734c63fd829a");
+  EXPECT_EQ(objects_hash(run.dir),
+            "c06d5a9050aa1e1e2e7f161e7bb4c73ae7b8cea1b3700508ef0ca374c0cdd4a7");
 }
 
 TEST(DiskWriter, RunResultSnapshotsEveryCounterAfterTheDrain) {
@@ -167,12 +153,12 @@ TEST(DiskWriter, RunResultSnapshotsEveryCounterAfterTheDrain) {
   // 24). One failed attempt with a 50 ms backoff holds the writer on the
   // run's last blob, so only the run's own drain commits it before
   // RunResult is filled.
-  const std::uint64_t writes = durable_run(1, /*updates=*/27).after.blob_writes;
+  const std::uint64_t writes = durable_run(/*updates=*/27).after.blob_writes;
   ASSERT_GT(writes, 0u);
   engine::FaultPlan slow_last_write;
   slow_last_write.fail_write(/*times=*/1, /*after=*/writes - 1);
   const DurableRun run =
-      durable_run(1, /*updates=*/27, slow_last_write, /*retry_backoff_ms=*/50.0);
+      durable_run(/*updates=*/27, slow_last_write, /*retry_backoff_ms=*/50.0);
   EXPECT_EQ(run.after.write_retries, 1u);
   EXPECT_EQ(run.result.disk, run.after);
   EXPECT_GT(run.after.commit_groups, 0u);
@@ -183,12 +169,10 @@ TEST(DiskWriter, RunResultSnapshotsEveryCounterAfterTheDrain) {
 // The checkpoint barrier: with the tier still open, the MANIFEST on disk
 // already holds the checkpoint and every publish queued before it.
 TEST(DiskWriter, CheckpointReturnsOnlyAfterEveryEarlierPublishIsDurable) {
-  constexpr std::uint32_t kShards = 4;
   constexpr std::uint64_t kVersions = 40;
   const std::string dir = fresh_dir("writer_barrier");
   optim::SolverConfig config;
   config.checkpoint_path = dir + ".ckpt";
-  config.store_config.num_shards = kShards;
   config.store_config.disk.enabled = true;
   config.store_config.disk.dir = dir;
   engine::Cluster cluster(one_worker());
@@ -196,7 +180,6 @@ TEST(DiskWriter, CheckpointReturnsOnlyAfterEveryEarlierPublishIsDurable) {
 
   linalg::DenseVector w(16, 0.0);
   for (std::uint64_t k = 0; k < kVersions; ++k) {
-    // Every coordinate changes, so every shard publishes every version.
     for (std::size_t i = 0; i < w.size(); ++i) w[i] += 1.0 + static_cast<double>(k);
     (void)ac.async_broadcast(w);
     ac.advance_version();
@@ -208,11 +191,9 @@ TEST(DiskWriter, CheckpointReturnsOnlyAfterEveryEarlierPublishIsDurable) {
   const CheckpointRecord& cp = st.checkpoints.back();
   EXPECT_EQ(cp.update_index, kVersions);
   ASSERT_EQ(cp.model_version, kVersions);
-  for (std::uint32_t s = 0; s < kShards; ++s) {
-    ASSERT_TRUE(st.shards.contains(s)) << "shard " << s;
-    for (std::uint64_t v = 0; v < cp.model_version; ++v) {
-      EXPECT_TRUE(st.shards.at(s).contains(v)) << "shard " << s << " version " << v;
-    }
+  ASSERT_TRUE(st.shards.contains(0));
+  for (std::uint64_t v = 0; v < cp.model_version; ++v) {
+    EXPECT_TRUE(st.shards.at(0).contains(v)) << "version " << v;
   }
   std::remove(config.checkpoint_path.c_str());
 }
@@ -232,7 +213,7 @@ TEST(DiskWriter, FullQueueBlocksPublishUntilTheWriterRecovers) {
   auto tier = DiskTier::open(cfg, OpenMode::kFresh, &metrics, &faults).value();
   engine::BroadcastStore broadcasts;
   ModelStore store(&broadcasts, StoreConfig{});
-  store.attach_disk(tier.get(), /*manifest_shard=*/0);
+  store.attach_disk(tier.get());
 
   // Whatever the writer took as its first group (at most a full queue),
   // more than a full queue is left to publish behind it.
