@@ -91,8 +91,8 @@ int main() {
     }
     const double write_ns = write_watch.elapsed_ms() * 1e6 / kIoIters;
 
-    // Cold reads: a fresh tier instance, so every fetch is a verified file
-    // read (hash + CRC), not an LRU hit.
+    // Reads through a fresh tier instance: every fetch is a verified file
+    // read (hash + CRC).
     tier.reset();
     auto cold = store::disk::DiskTier::open(tier_config(io_dir),
                                             store::disk::OpenMode::kResume)
@@ -161,14 +161,13 @@ int main() {
   const std::string re_dir = scratch_dir("disk_restore");
   {
     {
-      auto tier = store::disk::DiskTier::open(tier_config(re_dir),
-                                              store::disk::OpenMode::kFresh)
-                      .value();
       engine::BroadcastStore broadcasts;
       store::StoreConfig cfg;
       cfg.base_interval = kChain;  // one long delta chain
       store::ModelStore model_store(&broadcasts, cfg);
-      model_store.attach_disk(tier.get());
+      model_store.attach_disk(store::disk::DiskTier::open(
+                                  tier_config(re_dir), store::disk::OpenMode::kFresh)
+                                  .value());
       support::RngStream rng(7);
       linalg::DenseVector w(kDim);
       for (engine::Version v = 0; v < kChain; ++v) {
@@ -183,16 +182,15 @@ int main() {
     double total_ms = 0.0;
     for (int it = -2; it < kRestoreIters; ++it) {  // negatives warm the page cache
       support::Stopwatch watch;
-      auto tier = store::disk::DiskTier::open(tier_config(re_dir),
-                                              store::disk::OpenMode::kResume)
-                      .value();
       engine::BroadcastStore broadcasts;
       store::StoreConfig cfg;
       cfg.base_interval = kChain;
       store::ModelStore model_store(&broadcasts, cfg);
-      model_store.attach_disk(tier.get());
-      model_store.restore_from_manifest(tier->restored().shards.at(0), 0,
-                                        kChain - 1);
+      model_store.attach_disk(store::disk::DiskTier::open(
+                                  tier_config(re_dir), store::disk::OpenMode::kResume)
+                                  .value());
+      model_store.restore_from_manifest(
+          model_store.disk_tier()->restored().shards.at(0), 0, kChain - 1);
       const linalg::DenseVector& w =
           model_store.driver_cache().value_at(kChain - 1);
       if (w.size() != kDim) std::abort();

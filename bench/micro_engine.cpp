@@ -89,11 +89,11 @@ BENCHMARK(BM_SyncStageLatency)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMicrose
 
 void BM_HistoryPublishResolve(benchmark::State& state) {
   engine::BroadcastStore store;
-  core::HistoryRegistry registry(&store);
+  store::ModelStore history(&store);
   engine::Version version = 0;
   for (auto _ : state) {
-    registry.publish(linalg::DenseVector(256), version);
-    benchmark::DoNotOptimize(registry.value_at(version));
+    history.publish(linalg::DenseVector(256), version);
+    benchmark::DoNotOptimize(history.value_at(version));
     ++version;
   }
 }

@@ -70,9 +70,9 @@ CaseResult run_case(const optim::Workload& workload, double fraction, int iters)
   // path resolves value() through the model store PER ROW (the pre-fused
   // production hot path); the fused body resolves once per task.
   engine::BroadcastStore store;
-  auto registry = std::make_shared<core::HistoryRegistry>(&store);
-  registry->publish(w, /*version=*/0);
-  const core::HistoryBroadcast handle(registry, /*pinned=*/0);
+  auto history = std::make_shared<store::ModelStore>(&store);
+  history->publish(w, /*version=*/0);
+  const core::HistoryBroadcast handle(history, /*pinned=*/0);
 
   const auto perrow_fn =
       optim::reference::grad_task_fn(workload, handle, grad_cfg, fraction);
@@ -131,10 +131,10 @@ CaseResult run_saga_case(const optim::Workload& workload, double fraction, int i
   // Real two-version history chain: per-row SAGA resolves the pinned model
   // AND each sample's historical model through the store per row.
   engine::BroadcastStore store;
-  auto registry = std::make_shared<core::HistoryRegistry>(&store);
-  registry->publish(w_old, /*version=*/0);
-  registry->publish(w_new, /*version=*/1);
-  const core::HistoryBroadcast handle(registry, /*pinned=*/1);
+  auto history = std::make_shared<store::ModelStore>(&store);
+  history->publish(w_old, /*version=*/0);
+  history->publish(w_new, /*version=*/1);
+  const core::HistoryBroadcast handle(history, /*pinned=*/1);
   const auto hist_model = [handle](engine::Version v) -> const linalg::DenseVector& {
     return handle.value_at(v);
   };
@@ -213,11 +213,11 @@ CaseResult run_svrg_case(const optim::Workload& workload, double fraction, int i
     w[i] = wrng.uniform(-0.5, 0.5);
   }
   engine::BroadcastStore store;
-  auto registry = std::make_shared<core::HistoryRegistry>(&store);
-  registry->publish(snapshot, /*version=*/0);
-  registry->publish(w, /*version=*/1);
-  const core::HistoryBroadcast snapshot_br(registry, 0);
-  const core::HistoryBroadcast w_br(registry, 1);
+  auto history = std::make_shared<store::ModelStore>(&store);
+  history->publish(snapshot, /*version=*/0);
+  history->publish(w, /*version=*/1);
+  const core::HistoryBroadcast snapshot_br(history, 0);
+  const core::HistoryBroadcast w_br(history, 1);
 
   const auto perrow_fn =
       optim::reference::svrg_task_fn(workload, w_br, snapshot_br, grad_cfg, fraction);

@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -113,15 +114,18 @@ CaseResult run_case(const engine::BroadcastStore& broadcasts,
   CaseResult out;
   double total_ms = 0.0;
   for (int it = -3; it < iters; ++it) {  // negative iterations warm the caches
-    // A warm worker: it materialized v−1 last round, v is new to it.
+    // A warm worker: it materialized v−1 last round, v is new to it. The
+    // cache lives on the heap, as ModelStore::cache_for allocates it in the
+    // engine, so the timing does not follow this frame's stack layout.
     engine::ClusterMetrics metrics(1);
     engine::BroadcastCache bcache(&broadcasts, &net, &metrics);
-    store::VersionedModelCache cache(&model_store, &bcache, &metrics);
-    (void)cache.value_at(head - 1);
+    const auto cache =
+        std::make_unique<store::VersionedModelCache>(&model_store, &bcache, &metrics);
+    (void)cache->value_at(head - 1);
     metrics.broadcast_bytes.reset();
 
     support::Stopwatch watch;
-    const linalg::DenseVector& w = cache.value_at(head);
+    const linalg::DenseVector& w = cache->value_at(head);
     if (it >= 0) total_ms += watch.elapsed_ms();
     if (it == 0) out.step_wire_bytes = metrics.broadcast_bytes.load();
     if (w[0] > 1e300) std::cout << "";  // keep the resolve observable

@@ -15,9 +15,9 @@
 //   2. lz4 delta ratio: wire bytes / raw bytes for a delta-chain envelope
 //      (micro_transport.lz4_delta.bytes_ratio). The sparse [index, float64]
 //      stream is the compressible shape the delta chain ships all day.
-//   3. Loopback RTT: min µs for a full ship_result round trip — encode,
-//      socket, endpoint decode + canonical re-encode, ack, decode — over
-//      Unix-socket and TCP backends with a real worker process.
+//   3. Unix-socket RTT: min µs for a full ship_result round trip — encode,
+//      socket, endpoint decode + canonical re-encode, ack, decode — with a
+//      real worker process.
 //   4. Codec bit-identity (micro_transport.codec.bit_identical): the
 //      encode∘decode∘encode invariant the conformance suite builds on,
 //      enforced here with a hard exit 1 so the CI bench-perf job fails on
@@ -187,23 +187,22 @@ double measure_crc_ns_64k() {
   return min_ns;
 }
 
-/// Min-µs ship_result RTT over a freshly started 1-worker transport.
-double measure_rtt_us(transport::Backend backend, const engine::TaskResult& result) {
+/// Min-µs ship_result RTT over a freshly started 1-worker Unix-socket
+/// transport.
+double measure_rtt_us(const engine::TaskResult& result) {
   transport::TransportConfig config;
-  config.backend = backend;
+  config.backend = transport::Backend::kUnixSocket;
   auto transport = transport::make_transport(config, /*num_workers=*/1,
                                              /*network=*/nullptr, /*metrics=*/nullptr);
   if (support::Status s = transport->start(); !s.is_ok()) {
-    std::cerr << "FAIL: transport start (" << transport::backend_name(backend)
-              << "): " << s.to_string() << "\n";
+    std::cerr << "FAIL: transport start: " << s.to_string() << "\n";
     std::exit(1);
   }
   double min_us = 0.0;
   for (int i = 0; i < kRttIters; ++i) {
     auto receipt = transport->channel(0).ship_result(result);
     if (!receipt.is_ok()) {
-      std::cerr << "FAIL: ship_result (" << transport::backend_name(backend)
-                << "): " << receipt.status().to_string() << "\n";
+      std::cerr << "FAIL: ship_result: " << receipt.status().to_string() << "\n";
       std::exit(1);
     }
     const double us = static_cast<double>(receipt.value().wire_ns) * 1e-3;
@@ -239,9 +238,8 @@ int main() {
   // *.bytes_ratio keys bench_diff.py knows how to orient.
   const double ratio = raw_bytes / wire_bytes;
 
-  // 3. Loopback RTT through a real worker process.
-  const double uds_us = measure_rtt_us(transport::Backend::kUnixSocket, result);
-  const double tcp_us = measure_rtt_us(transport::Backend::kTcp, result);
+  // 3. Unix-socket RTT through a real worker process.
+  const double uds_us = measure_rtt_us(result);
 
   // 4. Bit-identity: decode the recorded frames and re-encode canonically.
   bool bit_identical = true;
@@ -272,7 +270,6 @@ int main() {
   table.add_row({"crc32 ns/64 KiB", metrics::Table::num(crc_ns_64k, 1)});
   table.add_row({"lz4 delta ratio", metrics::Table::num(ratio, 4)});
   table.add_row({"unix-socket RTT us", metrics::Table::num(uds_us, 1)});
-  table.add_row({"tcp RTT us", metrics::Table::num(tcp_us, 1)});
   table.add_row({"codec bit-identical", bit_identical ? "yes" : "NO"});
   std::cout << "\n";
   table.print(std::cout);
@@ -290,7 +287,6 @@ int main() {
       {"micro_transport.lz4_delta.wire_bytes", wire_bytes},
       {"micro_transport.lz4_delta.bytes_ratio", ratio},
       {"micro_transport.rtt.unix_socket_us", uds_us},
-      {"micro_transport.rtt.tcp_us", tcp_us},
   });
 
   if (!bit_identical) {

@@ -1,5 +1,7 @@
 #include "core/async_context.hpp"
 
+#include <utility>
+
 namespace asyncml::core {
 
 AsyncContext::AsyncContext(engine::Cluster& cluster, int num_partitions,
@@ -7,7 +9,9 @@ AsyncContext::AsyncContext(engine::Cluster& cluster, int num_partitions,
     : cluster_(cluster),
       coordinator_(cluster),
       scheduler_(cluster, coordinator_),
-      registry_(std::make_shared<HistoryRegistry>(&cluster.store(), store_config)) {
+      store_(std::make_shared<store::ModelStore>(&cluster.store(), std::move(store_config),
+                                                 &cluster.metrics().disk,
+                                                 cluster.faults())) {
   // Workers with a kJoinWorker fault event start outside the member set:
   // they own no partitions and receive no dispatch until poll_membership
   // admits them at their join version (engine/fault.hpp).
@@ -23,9 +27,6 @@ AsyncContext::AsyncContext(engine::Cluster& cluster, int num_partitions,
     if (any_dormant) scheduler_.set_members(std::move(members));
   }
   scheduler_.set_num_partitions(num_partitions);
-  // Route the disk tier's counters/fault seams into this run before the
-  // first publish can lazily open it. No-op while the tier stays disabled.
-  registry_->set_disk_hooks(&cluster.metrics().disk, cluster.faults());
   coordinator_.start();
 }
 
@@ -34,8 +35,8 @@ AsyncContext::~AsyncContext() { coordinator_.stop(); }
 void AsyncContext::restore(engine::Version version, std::uint64_t round) {
   coordinator_.restore_version(version);
   scheduler_.resume_round(round);
-  if (registry_->disk_enabled()) {
-    if (support::Status s = registry_->restore_from_disk(version); !s.is_ok()) {
+  if (store_->disk_enabled()) {
+    if (support::Status s = store_->restore_from_disk(version); !s.is_ok()) {
       std::fprintf(stderr,
                    "AsyncContext::restore: disk tier resume failed: %s\n",
                    s.to_string().c_str());
@@ -128,8 +129,8 @@ HistoryBroadcast AsyncContext::async_broadcast(const linalg::DenseVector& w) {
   const engine::Version version = coordinator_.current_version();
   auto& recorder = cluster_.telemetry();
   if (!recorder.enabled()) {
-    registry_->publish(w, version);
-    return HistoryBroadcast(registry_, version);
+    store_->publish(w, version);
+    return HistoryBroadcast(store_, version);
   }
   // Driver-side segments, one observation per update: accumulate = collect
   // return -> publish start (the solver's apply/step work), then the publish
@@ -143,13 +144,13 @@ HistoryBroadcast AsyncContext::async_broadcast(const linalg::DenseVector& w) {
             (publish_start - last_collect_return_).count()));
     last_collect_return_ = support::TimePoint{};
   }
-  registry_->publish(w, version);
+  store_->publish(w, version);
   recorder.charge_driver(
       telemetry::Stage::kBroadcastPublish,
       static_cast<std::uint64_t>(
           (support::Clock::now() - publish_start).count()));
   recorder.note_update();
-  return HistoryBroadcast(registry_, version);
+  return HistoryBroadcast(store_, version);
 }
 
 }  // namespace asyncml::core

@@ -109,10 +109,11 @@ class AsyncContext {
 
   /// Handle pinned to an already-published version.
   [[nodiscard]] HistoryBroadcast handle_for(engine::Version version) const {
-    return HistoryBroadcast(registry_, version);
+    return HistoryBroadcast(store_, version);
   }
 
-  [[nodiscard]] HistoryRegistry& history() { return *registry_; }
+  /// The ASYNCbroadcaster's versioned model store.
+  [[nodiscard]] store::ModelStore& history() { return *store_; }
 
   /// Garbage-collects history the STAT table proves unreachable: versions
   /// below the minimum in-flight dispatch version (no running task can read
@@ -124,7 +125,7 @@ class AsyncContext {
       std::optional<engine::Version> extra_floor = std::nullopt) {
     engine::Version bound = stat().min_inflight_version();
     if (extra_floor.has_value()) bound = std::min(bound, *extra_floor);
-    registry_->prune_below(bound);
+    store_->gc_below(bound);
     return bound;
   }
 
@@ -217,7 +218,7 @@ class AsyncContext {
   engine::Cluster& cluster_;
   Coordinator coordinator_;
   AsyncScheduler scheduler_;
-  std::shared_ptr<HistoryRegistry> registry_;
+  std::shared_ptr<store::ModelStore> store_;
   /// Total failed-task retries before collect() aborts. Chaos runs push far
   /// more injected failures through collect() than a healthy run ever sees;
   /// the budget still backstops infinite retry loops.

@@ -215,16 +215,10 @@ int Coordinator::outstanding(engine::WorkerId worker) const {
   return stats_[static_cast<std::size_t>(worker)].outstanding;
 }
 
-void Coordinator::on_dispatch(engine::WorkerId worker, int tasks,
-                              engine::Version version) {
-  std::lock_guard lock(stat_mutex_);
-  register_dispatch_locked(worker, tasks, version);
-}
-
 void Coordinator::on_task_dispatch(engine::WorkerId worker,
                                    const engine::TaskSpec& spec) {
   std::lock_guard lock(stat_mutex_);
-  register_dispatch_locked(worker, 1, spec.model_version);
+  register_dispatch_locked(worker, spec.model_version);
   inflight_tasks_[TaskKey{spec.partition, spec.seq}].copies[worker] += 1;
 }
 
@@ -237,7 +231,7 @@ bool Coordinator::try_register_replica(engine::WorkerId worker,
     return false;  // original already accounted: a replica would double-deliver
   }
   it->second.copies[worker] += 1;
-  register_dispatch_locked(worker, 1, spec.model_version);
+  register_dispatch_locked(worker, spec.model_version);
   return true;
 }
 
@@ -265,15 +259,14 @@ bool Coordinator::try_write_off(engine::WorkerId worker,
   return true;
 }
 
-void Coordinator::register_dispatch_locked(engine::WorkerId worker, int tasks,
+void Coordinator::register_dispatch_locked(engine::WorkerId worker,
                                            engine::Version version) {
   WorkerStat& row = stats_[static_cast<std::size_t>(worker)];
-  row.outstanding += tasks;
-  row.available = row.outstanding == 0;
+  row.outstanding += 1;
+  row.available = false;
   row.last_dispatch_version = version;
   row.ever_dispatched = true;
-  auto& inflight = inflight_versions_[static_cast<std::size_t>(worker)];
-  for (int t = 0; t < tasks; ++t) inflight.insert(version);
+  inflight_versions_[static_cast<std::size_t>(worker)].insert(version);
   fill_min_outstanding_locked(row);
 }
 

@@ -95,14 +95,9 @@ class Coordinator {
     version_.store(version, std::memory_order_release);
   }
 
-  /// Records that `tasks` tasks were dispatched to `worker` against `version`
-  /// (called by the scheduler; marks the worker unavailable). Results of
-  /// tasks registered this way are always delivered — use on_task_dispatch
-  /// when duplicate replicas of a task may be in flight.
-  void on_dispatch(engine::WorkerId worker, int tasks, engine::Version version);
-
-  /// Per-task registration: like on_dispatch for one task, but additionally
-  /// tracks the task's logical identity (partition, seq). Registering the
+  /// Records that `spec` was dispatched to `worker` against its model version
+  /// (called by the scheduler; marks the worker unavailable), and tracks the
+  /// task's logical identity (partition, seq). Registering the
   /// same identity again (a speculative replica or a failure retry) arms
   /// first-result-wins semantics: the first OK result for the identity is
   /// delivered, every later one is dropped as a duplicate — safe because a
@@ -167,8 +162,8 @@ class Coordinator {
   /// Tags, dedups, and routes one delivered TaskResult (drain_loop body).
   void process_result(engine::TaskResult result);
   void apply_result_locked(const engine::TaskResult& r);
-  void register_dispatch_locked(engine::WorkerId worker, int tasks,
-                                engine::Version version);
+  /// Counts one task dispatched to `worker` against `version` in STAT.
+  void register_dispatch_locked(engine::WorkerId worker, engine::Version version);
   /// Reverses one register_dispatch_locked slot (STAT half of abort/write-off).
   void unwind_dispatch_locked(engine::WorkerId worker, engine::Version version);
   /// Drops the worker's copy from `it`'s entry; erases the entry when no

@@ -39,8 +39,8 @@ class Cluster {
     FaultPlan faults;
     /// Which wire the cluster runs on (docs/TRANSPORT.md). The default
     /// in-process backend reproduces the pre-seam engine bit for bit; the
-    /// Unix-socket and TCP backends spawn one wire-endpoint process per
-    /// worker and move every frame for real.
+    /// Unix-socket backend spawns one wire-endpoint process per worker and
+    /// moves every frame for real.
     transport::TransportConfig transport;
   };
 

@@ -26,7 +26,7 @@ enum class BroadcastClass { kSnapshot, kDelta };
 
 /// Logical wire channel a transport frame travels on. Every backend counts
 /// into the same per-channel table: the in-process backend records the
-/// *charged* (modeled) bytes, the socket backends record *measured* frame
+/// *charged* (modeled) bytes, the socket backend records *measured* frame
 /// bytes — one ClusterMetrics path for both, so fig3 can print charged vs
 /// measured side by side and flag divergence beyond framing overhead.
 enum class WireChannel : std::uint8_t {
@@ -46,7 +46,6 @@ struct DiskTierStats {
   std::uint64_t blob_reads = 0;
   std::uint64_t blob_read_bytes = 0;
   std::uint64_t blob_dedup_hits = 0;
-  std::uint64_t lru_hits = 0;
   std::uint64_t quarantines = 0;
   std::uint64_t recovery_walks = 0;
   std::uint64_t bases_republished = 0;
@@ -70,10 +69,9 @@ struct DiskTierStats {
 struct DiskTierMetrics {
   support::RelaxedCounter blob_writes;       ///< blobs published (post-dedup)
   support::RelaxedCounter blob_write_bytes;  ///< payload bytes written
-  support::RelaxedCounter blob_reads;        ///< blob file reads (LRU misses)
+  support::RelaxedCounter blob_reads;        ///< blob file reads
   support::RelaxedCounter blob_read_bytes;   ///< payload bytes read from disk
   support::RelaxedCounter blob_dedup_hits;   ///< writes satisfied by an existing object
-  support::RelaxedCounter lru_hits;          ///< reads served from the LRU layer
   support::RelaxedCounter quarantines;       ///< corrupt/truncated blobs quarantined
   support::RelaxedCounter recovery_walks;    ///< chain walks restarted around a bad blob
   support::RelaxedCounter bases_republished; ///< fallback bases re-published over lost chains
@@ -93,7 +91,6 @@ struct DiskTierMetrics {
     blob_reads.reset();
     blob_read_bytes.reset();
     blob_dedup_hits.reset();
-    lru_hits.reset();
     quarantines.reset();
     recovery_walks.reset();
     bases_republished.reset();
@@ -110,11 +107,11 @@ struct DiskTierMetrics {
 
   [[nodiscard]] DiskTierStats snapshot() const {
     return {blob_writes.load(),      blob_write_bytes.load(), blob_reads.load(),
-            blob_read_bytes.load(),  blob_dedup_hits.load(),  lru_hits.load(),
-            quarantines.load(),      recovery_walks.load(),   bases_republished.load(),
-            write_retries.load(),    read_retries.load(),     manifest_appends.load(),
-            faulted_in.load(),       write_ns.load(),         read_ns.load(),
-            commit_groups.load(),    queue_stalls.load(),     queue_stall_ns.load()};
+            blob_read_bytes.load(),  blob_dedup_hits.load(),  quarantines.load(),
+            recovery_walks.load(),   bases_republished.load(), write_retries.load(),
+            read_retries.load(),     manifest_appends.load(), faulted_in.load(),
+            write_ns.load(),         read_ns.load(),          commit_groups.load(),
+            queue_stalls.load(),     queue_stall_ns.load()};
   }
 };
 
@@ -193,7 +190,7 @@ class ClusterMetrics {
   /// Per-channel wire accounting. `bytes_sent` is the data-bearing request
   /// frame of a round trip, `bytes_received` its ack — modeled payload bytes
   /// on the in-process backend, actual frame bytes (header + msgpack + lz4)
-  /// on the socket backends.
+  /// on the socket backend.
   struct WireCounters {
     support::RelaxedCounter frames;
     support::RelaxedCounter bytes_sent;

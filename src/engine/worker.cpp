@@ -45,7 +45,7 @@ bool Worker::submit(TaskSpec spec) {
 
 bool Worker::alive() const noexcept {
   if (dead_.load(std::memory_order_acquire)) return false;
-  return deps_.channel == nullptr || deps_.channel->alive();
+  return deps_.channel->alive();
 }
 
 void Worker::stop() {
@@ -85,9 +85,7 @@ void Worker::executor_loop(int core) {
     // straight back as a transport-level failure (no sleeps, no side effects).
     // A dead wire (killed peer process, I/O failure) is the same condition
     // discovered from the other end.
-    if (deps_.channel != nullptr && !deps_.channel->alive()) {
-      dead_.store(true, std::memory_order_release);
-    }
+    if (!deps_.channel->alive()) dead_.store(true, std::memory_order_release);
     if (dead_.load(std::memory_order_acquire)) {
       bounce(spec);
       continue;
@@ -239,26 +237,22 @@ void Worker::executor_loop(int core) {
     // any injected network-stage stall — FaultStage::kNetwork/kResultChannel
     // — which by contract lands in the result-channel segment and stays a
     // local sleep on every backend). The in-process channel hands back the
-    // modeled transfer to sleep, bit-identical to the channel-less path;
-    // socket channels spend real wall time on the round trip and return the
-    // decoded echo, which is what the driver consumes. A failed ship means
-    // the result never left the machine: fail-stop, synthesized kUnavailable.
+    // modeled transfer to sleep; socket channels spend real wall time on the
+    // round trip and return the decoded echo, which is what the driver
+    // consumes. A failed ship means the result never left the machine:
+    // fail-stop, synthesized kUnavailable.
     double transfer_ms = 0.0;
     std::uint64_t wire_ns = 0;
-    if (deps_.channel != nullptr) {
-      support::StatusOr<transport::ShipReceipt> shipped =
-          deps_.channel->ship_result(result);
-      if (shipped.is_ok()) {
-        transfer_ms += shipped.value().charge_ms;
-        wire_ns = shipped.value().wire_ns;
-        result = std::move(shipped.value().result);
-      } else {
-        dead_.store(true, std::memory_order_release);
-        result.status = Status(StatusCode::kUnavailable, "worker crashed");
-        result.payload = Payload();
-      }
-    } else if (deps_.network != nullptr && result.payload.has_value()) {
-      transfer_ms += deps_.network->transfer_ms(result.payload.bytes());
+    support::StatusOr<transport::ShipReceipt> shipped =
+        deps_.channel->ship_result(result);
+    if (shipped.is_ok()) {
+      transfer_ms += shipped.value().charge_ms;
+      wire_ns = shipped.value().wire_ns;
+      result = std::move(shipped.value().result);
+    } else {
+      dead_.store(true, std::memory_order_release);
+      result.status = Status(StatusCode::kUnavailable, "worker crashed");
+      result.payload = Payload();
     }
     if (deps_.faults != nullptr) {
       transfer_ms += deps_.faults->stage_delay_ms(FaultStage::kNetwork, id_, spec);

@@ -56,10 +56,10 @@ class Worker {
     /// Cluster-owned span recorder; checked per task via a relaxed atomic
     /// and otherwise free when telemetry is disabled.
     telemetry::TelemetryRecorder* telemetry = nullptr;
-    /// This worker's transport channel (transport/transport.hpp). Null keeps
-    /// the legacy modeled-sleep path; set, every result and broadcast fetch
-    /// round-trips through it, and a dead wire fail-stops the worker exactly
-    /// like a kCrashWorker fault.
+    /// This worker's transport channel (transport/transport.hpp); Cluster
+    /// always installs one. Every result and broadcast fetch round-trips
+    /// through it, and a dead wire fail-stops the worker exactly like a
+    /// kCrashWorker fault.
     transport::Channel* channel = nullptr;
   };
 
@@ -79,7 +79,6 @@ class Worker {
 
   [[nodiscard]] WorkerId id() const noexcept { return id_; }
   [[nodiscard]] int cores() const noexcept { return static_cast<int>(threads_.size()); }
-  [[nodiscard]] std::size_t mailbox_depth() const { return mailbox_.size(); }
 
   /// False once a kCrashWorker fault has fired on this worker, or its
   /// transport channel has gone dead (fail-stop either way).

@@ -1,7 +1,7 @@
 #pragma once
 
-// Serial reference implementations (no cluster): ground truth the distributed
-// solvers are tested against.
+// Serial mini-batch SGD and SAGA (no cluster): the figure benches' step
+// tuning runs them (bench/harness.cpp, tune_step).
 
 #include "data/dataset.hpp"
 #include "linalg/dense_vector.hpp"

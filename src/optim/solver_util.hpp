@@ -26,6 +26,7 @@
 #include "optim/payloads.hpp"
 #include "optim/run_result.hpp"
 #include "optim/solver_config.hpp"
+#include "store/disk/disk_tier.hpp"
 #include "support/thread_util.hpp"
 
 namespace asyncml::optim::detail {

@@ -182,17 +182,10 @@ void DiskTier::drain() {
 
 StatusOr<engine::Payload> DiskTier::fetch_payload(const Sha256Digest& digest) {
   telemetry::ScopedStageTimer timer(telemetry::Stage::kDiskIo);
-  std::vector<std::uint8_t> bytes;
-  if (lru_get(digest, bytes)) {
-    metrics_->lru_hits.add(1);
-  } else {
-    auto read = blobs_->get(digest);
-    if (!read.is_ok()) return read.status();
-    bytes = std::move(read).value();
-    metrics_->faulted_in.add(1);
-    lru_insert(digest, bytes);
-  }
-  return transport::decode_payload_envelope(bytes, /*opaque_source=*/nullptr);
+  const auto read = blobs_->get(digest);
+  if (!read.is_ok()) return read.status();
+  metrics_->faulted_in.add(1);
+  return transport::decode_payload_envelope(read.value(), /*opaque_source=*/nullptr);
 }
 
 std::uint64_t DiskTier::enqueue(Job job) {
@@ -270,8 +263,8 @@ void DiskTier::commit_group(std::vector<Job>& group) {
     // its other one (the blob operations the fault seams count).
     const bool all_or_nothing = std::holds_alternative<CheckpointRecord>(group[j].record);
     for (const engine::Payload& payload : group[j].blobs) {
-      std::vector<std::uint8_t> bytes = transport::encode_payload_envelope(payload);
-      auto digest = blobs_->stage(batch, bytes);
+      const auto digest =
+          blobs_->stage(batch, transport::encode_payload_envelope(payload));
       if (!digest.is_ok()) {
         results[j].status = digest.status();
         results[j].blob_failed = true;
@@ -279,7 +272,6 @@ void DiskTier::commit_group(std::vector<Job>& group) {
         continue;
       }
       results[j].digests.push_back(digest.value());
-      lru_insert(digest.value(), std::move(bytes));
     }
   }
 
@@ -351,32 +343,6 @@ void DiskTier::commit_group(std::vector<Job>& group) {
                    r.status.to_string().c_str());
     }
   }
-}
-
-void DiskTier::lru_insert(const Sha256Digest& digest, std::vector<std::uint8_t> bytes) {
-  if (bytes.size() > cfg_.lru_bytes) return;  // would evict everything for one entry
-  std::lock_guard lock(lru_mutex_);
-  if (auto it = lru_index_.find(digest); it != lru_index_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency, same bytes
-    return;
-  }
-  lru_bytes_ += bytes.size();
-  lru_.push_front(LruEntry{digest, std::move(bytes)});
-  lru_index_[digest] = lru_.begin();
-  while (lru_bytes_ > cfg_.lru_bytes && !lru_.empty()) {
-    lru_bytes_ -= lru_.back().bytes.size();
-    lru_index_.erase(lru_.back().digest);
-    lru_.pop_back();
-  }
-}
-
-bool DiskTier::lru_get(const Sha256Digest& digest, std::vector<std::uint8_t>& out) {
-  std::lock_guard lock(lru_mutex_);
-  const auto it = lru_index_.find(digest);
-  if (it == lru_index_.end()) return false;
-  lru_.splice(lru_.begin(), lru_, it->second);
-  out = it->second->bytes;
-  return true;
 }
 
 }  // namespace asyncml::store::disk

@@ -3,13 +3,12 @@
 // DiskTier: the durable tier beneath the model store (docs/DURABILITY.md).
 //
 // Composes the content-addressed BlobStore (objects) with the append-only
-// manifest (naming) and a byte-budgeted in-memory LRU above both.  The model
-// plane talks to it in payload terms:
+// manifest (naming).  The model plane talks to it in payload terms:
 //
 //   publish / gc_floor   queue a manifest record (and the payloads it names)
 //   checkpoint           commit a checkpoint record and its blobs, and wait
 //   put_payload          commit one blob, and wait
-//   fetch_payload        digest -> LRU hit | blob read -> decoded Payload
+//   fetch_payload        digest -> verified blob read -> decoded Payload
 //
 // One writer thread owns every tier write. It starts when the tier opens;
 // callers only queue the payload handles (shared, so nothing is copied and a
@@ -35,19 +34,17 @@
 //            tolerated), truncated to its intact prefix, and `restored()`
 //            exposes the replayed state for the store/solver to anchor on.
 //
-// Thread-safety: every method is safe from any thread; the LRU has its own
-// mutex, and writes are serialized by the writer. The destructor commits
-// everything still queued, then joins the writer.
+// Thread-safety: every method is safe from any thread; writes are
+// serialized by the writer. The destructor commits everything still queued,
+// then joins the writer.
 
 #include <condition_variable>
 #include <cstdint>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -104,13 +101,12 @@ class DiskTier {
       std::vector<std::pair<std::string, engine::Payload>> aux);
 
   /// Envelope-encodes `payload` and commits it as a blob (no record), and
-  /// waits. The bytes also enter the LRU so an immediate fault-in is a
-  /// memory hit.
+  /// waits.
   [[nodiscard]] support::StatusOr<support::Sha256Digest> put_payload(
       const engine::Payload& payload);
 
-  /// Materializes the payload stored under `digest`: LRU hit, else a verified
-  /// blob read (kDataLoss = quarantined, fall back; kNotFound; kUnavailable).
+  /// Materializes the payload stored under `digest` by a verified blob read
+  /// (kDataLoss = quarantined, fall back; kNotFound; kUnavailable).
   [[nodiscard]] support::StatusOr<engine::Payload> fetch_payload(
       const support::Sha256Digest& digest);
 
@@ -172,26 +168,6 @@ class DiskTier {
   /// Steps 1–4 of the commit protocol (header comment) for one group.
   void commit_group(std::vector<Job>& group);
 
-  // -- LRU over decoded-envelope bytes, keyed by content digest ------------
-  struct DigestHash {
-    std::size_t operator()(const support::Sha256Digest& d) const noexcept {
-      std::size_t h = 0;
-      for (std::size_t i = 0; i < sizeof(h); ++i) {
-        h = h << 8 | d[i];
-      }
-      return h;
-    }
-  };
-  struct LruEntry {
-    support::Sha256Digest digest{};
-    std::vector<std::uint8_t> bytes;
-  };
-
-  void lru_insert(const support::Sha256Digest& digest,
-                  std::vector<std::uint8_t> bytes);
-  [[nodiscard]] bool lru_get(const support::Sha256Digest& digest,
-                             std::vector<std::uint8_t>& out);
-
   DiskTierConfig cfg_;
   engine::DiskTierMetrics own_;        ///< used when no external metrics given
   engine::DiskTierMetrics* metrics_;   ///< never null after construction
@@ -206,12 +182,6 @@ class DiskTier {
   std::uint64_t queued_seq_ = 0;     ///< jobs ever queued
   std::uint64_t committed_seq_ = 0;  ///< jobs whose group has committed
   bool stopping_ = false;
-
-  std::mutex lru_mutex_;
-  std::list<LruEntry> lru_;  ///< front = most recent
-  std::unordered_map<support::Sha256Digest, std::list<LruEntry>::iterator, DigestHash>
-      lru_index_;
-  std::size_t lru_bytes_ = 0;
 
   std::thread writer_;  ///< last: it uses every member above
 };

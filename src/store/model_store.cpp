@@ -17,8 +17,13 @@ namespace {
 constexpr std::size_t kDiffBlock = 256;
 }  // namespace
 
-ModelStore::ModelStore(engine::BroadcastStore* broadcasts, StoreConfig config)
-    : broadcasts_(broadcasts), cfg_(config) {
+ModelStore::ModelStore(engine::BroadcastStore* broadcasts, StoreConfig config,
+                       engine::DiskTierMetrics* disk_metrics,
+                       engine::FaultState* disk_faults)
+    : broadcasts_(broadcasts),
+      cfg_(std::move(config)),
+      disk_metrics_(disk_metrics),
+      disk_faults_(disk_faults) {
   assert(broadcasts_ != nullptr);
   if (cfg_.base_interval == 0) cfg_.base_interval = 1;  // every version a base
 }
@@ -27,6 +32,21 @@ ModelStore::~ModelStore() = default;
 
 engine::BroadcastId ModelStore::publish(const linalg::DenseVector& w,
                                         engine::Version version) {
+  if (cfg_.disk.enabled && tier_ == nullptr) {
+    // First publish of a non-resumed run: open a fresh tier (rotating any
+    // stale manifest aside). Failure downgrades to in-memory, once, loudly.
+    auto tier = disk::DiskTier::open(cfg_.disk, disk::OpenMode::kFresh,
+                                     disk_metrics_, disk_faults_);
+    if (tier.is_ok()) {
+      tier_ = std::move(tier).value();
+    } else {
+      std::fprintf(stderr,
+                   "ModelStore: disk tier open failed (%s); running "
+                   "in-memory only\n",
+                   tier.status().to_string().c_str());
+      cfg_.disk.enabled = false;
+    }
+  }
   // publish() runs on the driver thread only (it is not thread-safe against
   // itself or gc_below); prev_/since_base_ are driver-private state, so the
   // O(dim) diff and payload construction stay OFF mutex_ — workers resolving
@@ -175,7 +195,25 @@ engine::BroadcastId ModelStore::publish(const linalg::DenseVector& w,
   return entry.has_base() ? entry.base_id : entry.delta_id;
 }
 
-void ModelStore::attach_disk(disk::DiskTier* tier) { tier_ = tier; }
+void ModelStore::attach_disk(std::unique_ptr<disk::DiskTier> tier) {
+  tier_ = std::move(tier);
+}
+
+support::Status ModelStore::restore_from_disk(engine::Version anchor) {
+  if (!cfg_.disk.enabled) {
+    return support::Status(support::StatusCode::kFailedPrecondition,
+                           "model store: disk tier disabled");
+  }
+  assert(tier_ == nullptr);
+  auto tier = disk::DiskTier::open(cfg_.disk, disk::OpenMode::kResume, disk_metrics_,
+                                   disk_faults_);
+  if (!tier.is_ok()) return tier.status();
+  const auto history = tier.value()->restored_model();
+  if (!history.is_ok()) return history.status();
+  tier_ = std::move(tier).value();
+  restore_from_manifest(*history.value().records, history.value().gc_floor, anchor);
+  return support::Status::ok();
+}
 
 void ModelStore::restore_from_manifest(
     const std::map<std::uint64_t, disk::PublishRecord>& records,
@@ -520,9 +558,19 @@ void ModelStore::gc_below(engine::Version min_version) {
   if (tier_ != nullptr && floor_advanced) tier_->gc_floor(min_version);
 }
 
+const linalg::DenseVector& ModelStore::value_at(engine::Version version) const {
+  // Worker threads resolve through their charged cache, the driver through
+  // the uncharged one.
+  engine::WorkerEnv* env = engine::current_worker_env();
+  if (env != nullptr && env->cache != nullptr) {
+    return cache_for(env->id, env->cache, env->metrics).value_at(version);
+  }
+  return driver_cache().value_at(version);
+}
+
 VersionedModelCache& ModelStore::cache_for(engine::WorkerId worker,
                                            engine::BroadcastCache* bcache,
-                                           engine::ClusterMetrics* metrics) {
+                                           engine::ClusterMetrics* metrics) const {
   assert(worker >= 0 && bcache != nullptr);
   std::lock_guard lock(caches_mutex_);
   const auto index = static_cast<std::size_t>(worker);
@@ -534,7 +582,7 @@ VersionedModelCache& ModelStore::cache_for(engine::WorkerId worker,
   return *worker_caches_[index];
 }
 
-VersionedModelCache& ModelStore::driver_cache() {
+VersionedModelCache& ModelStore::driver_cache() const {
   std::lock_guard lock(caches_mutex_);
   if (driver_cache_ == nullptr) {
     driver_cache_ = std::make_unique<VersionedModelCache>(this, nullptr, nullptr);

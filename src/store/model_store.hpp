@@ -35,6 +35,11 @@
 // version-ordered, so threshold pruning would hit foreign broadcasts), and
 // the oldest retained version is rebased onto a fresh base snapshot when its
 // chain reached below the cut.
+//
+// The store is the ASYNCbroadcaster of the paper (§4.3): `value_at` routes a
+// worker's read to its charged cache and the driver's to the uncharged one,
+// and core::HistoryBroadcast (the `w_br` tasks capture) resolves through it.
+// It also owns the durable disk tier beneath it (docs/DURABILITY.md).
 
 #include <functional>
 #include <map>
@@ -50,6 +55,11 @@
 #include "store/model_delta.hpp"
 #include "store/store_config.hpp"
 #include "support/sha256.hpp"
+#include "support/status.hpp"
+
+namespace asyncml::engine {
+class FaultState;
+}  // namespace asyncml::engine
 
 namespace asyncml::store {
 
@@ -122,7 +132,11 @@ struct StoreStats {
 
 class ModelStore {
  public:
-  explicit ModelStore(engine::BroadcastStore* broadcasts, StoreConfig config = {});
+  /// `disk_metrics` and `disk_faults` route the disk tier's counters and
+  /// fault seams (cluster metrics and the run's FaultState); both may be null.
+  explicit ModelStore(engine::BroadcastStore* broadcasts, StoreConfig config = {},
+                      engine::DiskTierMetrics* disk_metrics = nullptr,
+                      engine::FaultState* disk_faults = nullptr);
   ~ModelStore();
 
   ModelStore(const ModelStore&) = delete;
@@ -131,7 +145,9 @@ class ModelStore {
   /// Publishes `w` as `version` (a delta against the previously published
   /// version, or a base snapshot per the rules above) and returns the
   /// registered broadcast id.  Republishing an existing version replaces its
-  /// entry and invalidates cached materializations.
+  /// entry and invalidates cached materializations.  With the disk tier
+  /// enabled, the first publish of a run that did not resume opens the tier
+  /// fresh.
   ///
   /// Threading: publish and gc_below are driver-thread operations (not
   /// thread-safe against each other); the resolution APIs (entry_of /
@@ -159,14 +175,21 @@ class ModelStore {
   /// floored by the SampleVersionTable minimum for history-reading solvers.
   void gc_below(engine::Version min_version);
 
+  /// Resolves the model at `version`. On a worker thread this routes through
+  /// the worker's cache_for (materialized hit = free; miss fetches and
+  /// charges exactly the missing chain links); on the driver, through the
+  /// uncharged driver_cache. Aborts if the version was never published or
+  /// was GC'd — a logic error upstream.
+  [[nodiscard]] const linalg::DenseVector& value_at(engine::Version version) const;
+
   /// The per-worker materialization cache (created on first use). `bcache`
   /// and `metrics` belong to the worker; fetches charge through them.
   [[nodiscard]] VersionedModelCache& cache_for(engine::WorkerId worker,
                                                engine::BroadcastCache* bcache,
-                                               engine::ClusterMetrics* metrics);
+                                               engine::ClusterMetrics* metrics) const;
 
   /// Driver-side materialization cache: same resolution logic, no charging.
-  [[nodiscard]] VersionedModelCache& driver_cache();
+  [[nodiscard]] VersionedModelCache& driver_cache() const;
 
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::optional<engine::Version> oldest() const;
@@ -177,11 +200,28 @@ class ModelStore {
 
   // -- durable disk tier (docs/DURABILITY.md) --------------------------------
 
-  /// Attaches the durable tier: every publish queues its snapshot and delta
-  /// payloads and a manifest record to the tier's writer thread, and the
-  /// resolution walk faults lazy entries in from it. The tier outlives the
-  /// store; call before the first publish.
-  void attach_disk(disk::DiskTier* tier);
+  /// Attaches and takes ownership of a tier the caller opened: every publish
+  /// queues its snapshot and delta payloads and a manifest record to the
+  /// tier's writer thread, and the resolution walk faults lazy entries in
+  /// from it. Call before the first publish.
+  void attach_disk(std::unique_ptr<disk::DiskTier> tier);
+
+  /// Whether the run keeps the tier: the configured switch, cleared when the
+  /// first publish could not open the tier and the run went in-memory.
+  [[nodiscard]] bool disk_enabled() const noexcept { return cfg_.disk.enabled; }
+
+  /// The tier, or null: disabled, or enabled but before the first publish
+  /// (the tier opens lazily with the first publish, kFresh).
+  [[nodiscard]] disk::DiskTier* disk_tier() noexcept { return tier_.get(); }
+
+  /// Restart-without-replay: opens the tier in kResume mode (manifest replay,
+  /// torn tail truncated) and anchors the store on the replayed publishes at
+  /// or below `anchor` (the checkpointed model version). A manifest that
+  /// DiskTier::restored_model refuses is returned as its non-OK status, and
+  /// the tier is closed again, so no publish is appended to it.
+  ///
+  /// Must run before the first publish of the resumed run.
+  [[nodiscard]] support::Status restore_from_disk(engine::Version anchor);
 
   /// Rebuilds the version map from replayed manifest records: each record
   /// becomes a lazy entry (content hashes set, no in-memory payload) so a
@@ -257,13 +297,18 @@ class ModelStore {
   std::vector<std::uint32_t> changed_;
   engine::Version gc_floor_ = 0;
   StoreStats stats_;
-  disk::DiskTier* tier_ = nullptr;  ///< durable tier (null = in-memory only)
+  engine::DiskTierMetrics* disk_metrics_;
+  engine::FaultState* disk_faults_;
+  /// Durable tier (null = in-memory only): opened lazily at the first
+  /// publish (kFresh), by restore_from_disk (kResume), or attached.
+  std::unique_ptr<disk::DiskTier> tier_;
   /// Set by restore_from_manifest; GC clamps to it until a newer base lands.
   std::optional<engine::Version> restore_anchor_;
 
-  std::mutex caches_mutex_;
-  std::vector<std::unique_ptr<VersionedModelCache>> worker_caches_;
-  std::unique_ptr<VersionedModelCache> driver_cache_;
+  // mutable: value_at() is logically const but creates a cache on first use.
+  mutable std::mutex caches_mutex_;
+  mutable std::vector<std::unique_ptr<VersionedModelCache>> worker_caches_;
+  mutable std::unique_ptr<VersionedModelCache> driver_cache_;
 };
 
 }  // namespace asyncml::store

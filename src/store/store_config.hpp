@@ -19,10 +19,6 @@ struct DiskTierConfig {
   /// that failed their integrity check), and the append-only `MANIFEST`.
   std::string dir;
 
-  /// Byte budget of the in-memory LRU above the blob files; hot chain links
-  /// and freshly written payloads are served from here without touching disk.
-  std::size_t lru_bytes = std::size_t{64} << 20;
-
   /// Attempts per blob operation on a *transient* error (kUnavailable —
   /// injected fail_write/fail_read or a real EINTR-ish failure). Corruption
   /// is never retried: the same bytes would fail the same check.

@@ -25,10 +25,6 @@ class Stopwatch {
     return std::chrono::duration<double, std::milli>(elapsed()).count();
   }
 
-  [[nodiscard]] double elapsed_us() const {
-    return std::chrono::duration<double, std::micro>(elapsed()).count();
-  }
-
   [[nodiscard]] TimePoint start() const { return start_; }
 
  private:

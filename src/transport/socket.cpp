@@ -1,8 +1,5 @@
 #include "transport/socket.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <signal.h>
 #include <spawn.h>
@@ -71,11 +68,6 @@ Status poll_for(int fd, short events, Clock::time_point deadline, bool infinite)
   }
 }
 
-void set_nodelay(int fd) {
-  int one = 1;
-  (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-}
-
 }  // namespace
 
 void ScopedFd::reset(int fd) noexcept {
@@ -136,31 +128,6 @@ StatusOr<ScopedFd> listen_unix(const std::string& path) {
   return fd;
 }
 
-StatusOr<ScopedFd> listen_tcp_ephemeral(std::uint16_t& port_out) {
-  ScopedFd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
-  if (!fd.valid()) return errno_status(StatusCode::kUnavailable, "socket(AF_INET)");
-  int one = 1;
-  (void)::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;  // kernel picks an ephemeral port
-  if (::bind(fd.get(), reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    return errno_status(StatusCode::kUnavailable, "bind(127.0.0.1:0)");
-  }
-  if (::listen(fd.get(), 128) != 0) {
-    return errno_status(StatusCode::kUnavailable, "listen(AF_INET)");
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (::getsockname(fd.get(), reinterpret_cast<sockaddr*>(&bound), &len) != 0) {
-    return errno_status(StatusCode::kUnavailable, "getsockname");
-  }
-  port_out = ntohs(bound.sin_port);
-  return fd;
-}
-
 StatusOr<ScopedFd> accept_deadline(int listen_fd, double deadline_ms) {
   const auto deadline = deadline_after(deadline_ms);
   for (;;) {
@@ -175,25 +142,6 @@ StatusOr<ScopedFd> accept_deadline(int listen_fd, double deadline_ms) {
   }
 }
 
-namespace {
-
-/// Bounded connect-retry loop shared by both address families: the listener
-/// may not be up yet (or its backlog momentarily full), so refused attempts
-/// retry on a 1 ms tick until the deadline.
-template <typename MakeAttempt>
-StatusOr<ScopedFd> connect_retry(MakeAttempt&& attempt, double deadline_ms) {
-  const auto deadline = deadline_after(deadline_ms);
-  for (;;) {
-    StatusOr<ScopedFd> fd = attempt();
-    if (fd.is_ok()) return fd;
-    if (Clock::now() >= deadline) return fd.status();
-    const timespec tick{0, 1'000'000};  // 1 ms between attempts
-    (void)::nanosleep(&tick, nullptr);
-  }
-}
-
-}  // namespace
-
 StatusOr<ScopedFd> connect_unix(const std::string& path, double deadline_ms) {
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
@@ -202,37 +150,20 @@ StatusOr<ScopedFd> connect_unix(const std::string& path, double deadline_ms) {
                   "unix socket path too long: " + path);
   }
   std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  return connect_retry(
-      [&]() -> StatusOr<ScopedFd> {
-        ScopedFd fd(::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0));
-        if (!fd.valid()) return errno_status(StatusCode::kUnavailable, "socket(AF_UNIX)");
-        if (::connect(fd.get(), reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-          return errno_status(StatusCode::kUnavailable, "connect(AF_UNIX)");
-        }
-        return fd;
-      },
-      deadline_ms);
-}
-
-StatusOr<ScopedFd> connect_tcp(const std::string& host, std::uint16_t port,
-                               double deadline_ms) {
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    return Status(StatusCode::kInvalidArgument, "bad IPv4 address: " + host);
+  // The listener may not be up yet (or its backlog momentarily full), so
+  // refused attempts retry on a 1 ms tick until the deadline.
+  const auto deadline = deadline_after(deadline_ms);
+  for (;;) {
+    ScopedFd fd(::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0));
+    if (!fd.valid()) return errno_status(StatusCode::kUnavailable, "socket(AF_UNIX)");
+    if (::connect(fd.get(), reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) {
+      return fd;
+    }
+    Status failed = errno_status(StatusCode::kUnavailable, "connect(AF_UNIX)");
+    if (Clock::now() >= deadline) return failed;
+    const timespec tick{0, 1'000'000};  // 1 ms between attempts
+    (void)::nanosleep(&tick, nullptr);
   }
-  return connect_retry(
-      [&]() -> StatusOr<ScopedFd> {
-        ScopedFd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
-        if (!fd.valid()) return errno_status(StatusCode::kUnavailable, "socket(AF_INET)");
-        if (::connect(fd.get(), reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-          return errno_status(StatusCode::kUnavailable, "connect(tcp)");
-        }
-        set_nodelay(fd.get());
-        return fd;
-      },
-      deadline_ms);
 }
 
 // ---------------------------------------------------------------------------
@@ -476,34 +407,16 @@ class SocketTransport final : public Transport {
                         "ASYNCML_WORKER_BIN)");
     }
 
-    ScopedFd listener;
-    std::uint16_t port = 0;
-    if (config_.backend == Backend::kUnixSocket) {
-      StatusOr<std::string> dir = make_socket_dir();
-      if (!dir.is_ok()) return dir.status();
-      socket_dir_ = dir.value();
-      socket_path_ = socket_dir_ + "/wire.sock";
-      StatusOr<ScopedFd> fd = listen_unix(socket_path_);
-      if (!fd.is_ok()) return fd.status();
-      listener = std::move(fd).value();
-    } else {
-      // Ephemeral-port flake guard: port 0 binds essentially never collide,
-      // but retry a few times anyway so one transient failure cannot fail a
-      // whole run.
-      Status last = Status::ok();
-      for (int attempt = 0; attempt < 5 && !listener.valid(); ++attempt) {
-        StatusOr<ScopedFd> fd = listen_tcp_ephemeral(port);
-        if (fd.is_ok()) {
-          listener = std::move(fd).value();
-        } else {
-          last = fd.status();
-        }
-      }
-      if (!listener.valid()) return last;
-    }
+    StatusOr<std::string> dir = make_socket_dir();
+    if (!dir.is_ok()) return dir.status();
+    socket_dir_ = dir.value();
+    socket_path_ = socket_dir_ + "/wire.sock";
+    StatusOr<ScopedFd> listened = listen_unix(socket_path_);
+    if (!listened.is_ok()) return listened.status();
+    const ScopedFd listener = std::move(listened).value();
 
     for (int w = 0; w < num_workers_; ++w) {
-      if (Status s = spawn_worker(binary, w, port); !s.is_ok()) {
+      if (Status s = spawn_worker(binary, w); !s.is_ok()) {
         cleanup_failed_start();
         return s;
       }
@@ -567,15 +480,10 @@ class SocketTransport final : public Transport {
     socket_dir_.clear();
   }
 
-  Status spawn_worker(const std::string& binary, int worker, std::uint16_t port) {
-    std::vector<std::string> args = {binary};
-    if (config_.backend == Backend::kUnixSocket) {
-      args.insert(args.end(), {"--uds", socket_path_});
-    } else {
-      args.insert(args.end(), {"--tcp", "127.0.0.1", std::to_string(port)});
-    }
-    args.insert(args.end(), {"--worker", std::to_string(worker), "--max-frame",
-                             std::to_string(config_.max_frame_bytes)});
+  Status spawn_worker(const std::string& binary, int worker) {
+    std::vector<std::string> args = {binary, "--uds", socket_path_, "--worker",
+                                     std::to_string(worker), "--max-frame",
+                                     std::to_string(config_.max_frame_bytes)};
 
     std::vector<char*> argv;
     argv.reserve(args.size() + 1);
@@ -601,7 +509,6 @@ class SocketTransport final : public Transport {
     StatusOr<ScopedFd> accepted = accept_deadline(listener, config_.io_deadline_ms);
     if (!accepted.is_ok()) return accepted.status();
     ScopedFd fd = std::move(accepted).value();
-    if (config_.backend == Backend::kTcp) set_nodelay(fd.get());
 
     FrameDecoder decoder(config_.max_frame_bytes);
     std::vector<Frame> frames;

@@ -1,9 +1,9 @@
 #pragma once
 
-// POSIX socket machinery for the Unix-socket and TCP transport backends:
-// RAII fds, poll()-bounded blocking I/O (every wait carries a deadline — no
-// raw sleeps anywhere on the socket path), listener/connector helpers, and
-// the socket Transport factory. The worker side of the wire lives in
+// POSIX socket machinery for the Unix-socket transport backend: RAII fds,
+// poll()-bounded blocking I/O (every wait carries a deadline — no raw sleeps
+// anywhere on the socket path), listener/connector helpers, and the socket
+// Transport factory. The worker side of the wire lives in
 // transport/endpoint.hpp and runs inside tools/asyncml_worker.
 
 #include <cstddef>
@@ -64,10 +64,6 @@ class ScopedFd {
 /// Binds and listens on an AF_UNIX stream socket at `path`.
 [[nodiscard]] support::StatusOr<ScopedFd> listen_unix(const std::string& path);
 
-/// Binds 127.0.0.1 on a kernel-chosen ephemeral port, listens, and reports
-/// the chosen port.
-[[nodiscard]] support::StatusOr<ScopedFd> listen_tcp_ephemeral(std::uint16_t& port_out);
-
 /// Accepts one connection within `deadline_ms`.
 [[nodiscard]] support::StatusOr<ScopedFd> accept_deadline(int listen_fd,
                                                           double deadline_ms);
@@ -77,14 +73,9 @@ class ScopedFd {
 [[nodiscard]] support::StatusOr<ScopedFd> connect_unix(const std::string& path,
                                                        double deadline_ms);
 
-/// Connects to host:port (TCP, TCP_NODELAY set), retrying inside the deadline.
-[[nodiscard]] support::StatusOr<ScopedFd> connect_tcp(const std::string& host,
-                                                      std::uint16_t port,
-                                                      double deadline_ms);
-
-/// Builds the Unix-socket or TCP backend: spawns one tools/asyncml_worker
-/// process per worker and handshakes each connection. `config.backend` must
-/// not be kInProcess.
+/// Builds the Unix-socket backend: spawns one tools/asyncml_worker process
+/// per worker and handshakes each connection. `config.backend` must be
+/// kUnixSocket.
 [[nodiscard]] std::unique_ptr<Transport> make_socket_transport(
     const TransportConfig& config, int num_workers, engine::ClusterMetrics* metrics);
 

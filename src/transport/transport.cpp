@@ -16,7 +16,6 @@ const char* backend_name(Backend backend) noexcept {
   switch (backend) {
     case Backend::kInProcess: return "in-process";
     case Backend::kUnixSocket: return "unix-socket";
-    case Backend::kTcp: return "tcp";
   }
   return "unknown";
 }

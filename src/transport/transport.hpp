@@ -11,8 +11,8 @@
 //                channel returns the modeled NetworkModel charge for the
 //                caller to sleep, exactly reproducing the pre-seam engine.
 //   kUnixSocket  The worker's *wire plane* runs as a separate process
-//   kTcp         (tools/asyncml_worker) connected over AF_UNIX / loopback
-//                TCP. Every message is genuinely framed (msgpack + lz4 on
+//                (tools/asyncml_worker) connected over AF_UNIX. Every
+//                message is genuinely framed (msgpack + lz4 on
 //                the delta chain), decoded, validated and re-encoded by the
 //                remote endpoint, and the bytes the driver consumes are the
 //                *decoded* echo — so a codec bug changes trajectories and
@@ -43,7 +43,6 @@ namespace asyncml::transport {
 enum class Backend : std::uint8_t {
   kInProcess = 0,
   kUnixSocket = 1,
-  kTcp = 2,
 };
 
 [[nodiscard]] const char* backend_name(Backend backend) noexcept;
@@ -56,7 +55,7 @@ struct TransportConfig {
   /// Deadline for one blocking I/O step of a round trip (connect, write,
   /// read). Socket waits are poll()-bounded — there are no raw sleeps.
   double io_deadline_ms = 10000.0;
-  /// Worker launcher binary for the socket backends. Empty resolves
+  /// Worker launcher binary for the socket backend. Empty resolves
   /// $ASYNCML_WORKER_BIN, then `asyncml_worker` next to the running binary.
   std::string worker_binary;
 };
@@ -64,7 +63,7 @@ struct TransportConfig {
 /// What a result ship handed back: the (decoded) result plus the timing the
 /// caller still owes the cost model. The in-process backend performs no I/O
 /// and returns the modeled transfer as `charge_ms` (the worker sleeps it,
-/// exactly like the pre-seam code); socket backends already spent real wall
+/// exactly like the pre-seam code); the socket backend already spent real wall
 /// time on the wire and report it as `wire_ns` with `charge_ms == 0`.
 struct ShipReceipt {
   engine::TaskResult result;
@@ -85,7 +84,7 @@ class Channel {
  public:
   virtual ~Channel() = default;
 
-  /// Round-trips the spec's wire header. On the socket backends the decoded
+  /// Round-trips the spec's wire header. On the socket backend the decoded
   /// echo overwrites the spec's wire-visible fields (fn stays local); the
   /// in-process backend leaves the spec untouched. Non-OK means the peer is
   /// unreachable — the caller still delivers the spec so it bounces through
@@ -93,7 +92,7 @@ class Channel {
   [[nodiscard]] virtual support::Status ship_task(engine::TaskSpec& spec) = 0;
 
   /// Round-trips a task result. The returned result is what the driver must
-  /// consume (the decoded echo on socket backends). Non-OK means the result
+  /// consume (the decoded echo on the socket backend). Non-OK means the result
   /// never left the machine: the worker synthesizes kUnavailable.
   [[nodiscard]] virtual support::StatusOr<ShipReceipt> ship_result(
       engine::TaskResult result) = 0;
@@ -107,7 +106,7 @@ class Channel {
   /// False once the peer is known dead (fail-stop; never flips back).
   [[nodiscard]] virtual bool alive() const = 0;
 
-  /// True when ships do real I/O (socket backends): the caller measures wall
+  /// True when ships do real I/O (the socket backend): the caller measures wall
   /// time instead of sleeping a modeled charge.
   [[nodiscard]] virtual bool is_wire() const = 0;
 
@@ -119,7 +118,7 @@ class Transport {
   virtual ~Transport() = default;
 
   /// Brings every channel up (spawns and handshakes worker processes on the
-  /// socket backends). Must be called once before channel().
+  /// socket backend). Must be called once before channel().
   [[nodiscard]] virtual support::Status start() = 0;
 
   /// Sends shutdown frames, closes channels, reaps worker processes.

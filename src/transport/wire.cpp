@@ -435,9 +435,6 @@ EncodedPayload encode_payload(const engine::Payload& payload) {
   } else if (payload.holds<optim::GradHist>()) {
     out.kind = PayloadKind::kGradHist;
     encode_grad_hist(w, payload.get<optim::GradHist>());
-  } else if (payload.holds<linalg::GradVector>()) {
-    out.kind = PayloadKind::kGradVector;
-    encode_grad_vector(w, payload.get<linalg::GradVector>());
   } else if (payload.holds<linalg::DenseVector>()) {
     out.kind = PayloadKind::kDenseVector;
     encode_dense_vector(w, payload.get<linalg::DenseVector>());
@@ -482,13 +479,6 @@ StatusOr<engine::Payload> decode_payload(PayloadKind kind,
       if (Status s = expect_end(r, "gradhist"); !s.is_ok()) return s;
       return engine::Payload::wrap(std::move(value), bytes);
     }
-    case PayloadKind::kGradVector: {
-      MsgReader r(body);
-      linalg::GradVector value;
-      if (Status s = decode_grad_vector(r, value); !s.is_ok()) return s;
-      if (Status s = expect_end(r, "gradvector"); !s.is_ok()) return s;
-      return engine::Payload::wrap(std::move(value), bytes);
-    }
     case PayloadKind::kDenseVector: {
       MsgReader r(body);
       linalg::DenseVector value;
@@ -502,58 +492,6 @@ StatusOr<engine::Payload> decode_payload(PayloadKind kind,
       if (Status s = decode_model_delta(r, value); !s.is_ok()) return s;
       if (Status s = expect_end(r, "modeldelta"); !s.is_ok()) return s;
       return engine::Payload::wrap(std::move(value), bytes);
-    }
-  }
-  return bad("payload: unknown kind " + std::to_string(static_cast<int>(kind)));
-}
-
-StatusOr<std::vector<std::uint8_t>> reencode_payload_body(
-    PayloadKind kind, std::span<const std::uint8_t> body) {
-  MsgWriter w;
-  switch (kind) {
-    case PayloadKind::kNone:
-    case PayloadKind::kOpaque:
-      if (!body.empty()) return bad("payload: metadata-only kind with body");
-      return std::vector<std::uint8_t>{};
-    case PayloadKind::kGradCount: {
-      MsgReader r(body);
-      optim::GradCount value;
-      if (Status s = decode_grad_count(r, value); !s.is_ok()) return s;
-      if (Status s = expect_end(r, "gradcount"); !s.is_ok()) return s;
-      encode_grad_count(w, value);
-      return w.take();
-    }
-    case PayloadKind::kGradHist: {
-      MsgReader r(body);
-      optim::GradHist value;
-      if (Status s = decode_grad_hist(r, value); !s.is_ok()) return s;
-      if (Status s = expect_end(r, "gradhist"); !s.is_ok()) return s;
-      encode_grad_hist(w, value);
-      return w.take();
-    }
-    case PayloadKind::kGradVector: {
-      MsgReader r(body);
-      linalg::GradVector value;
-      if (Status s = decode_grad_vector(r, value); !s.is_ok()) return s;
-      if (Status s = expect_end(r, "gradvector"); !s.is_ok()) return s;
-      encode_grad_vector(w, value);
-      return w.take();
-    }
-    case PayloadKind::kDenseVector: {
-      MsgReader r(body);
-      linalg::DenseVector value;
-      if (Status s = decode_dense_vector(r, value); !s.is_ok()) return s;
-      if (Status s = expect_end(r, "densevector"); !s.is_ok()) return s;
-      encode_dense_vector(w, value);
-      return w.take();
-    }
-    case PayloadKind::kModelDelta: {
-      MsgReader r(body);
-      store::ModelDelta value;
-      if (Status s = decode_model_delta(r, value); !s.is_ok()) return s;
-      if (Status s = expect_end(r, "modeldelta"); !s.is_ok()) return s;
-      encode_model_delta(w, value);
-      return w.take();
     }
   }
   return bad("payload: unknown kind " + std::to_string(static_cast<int>(kind)));
@@ -710,6 +648,24 @@ Status decode_task_result(std::span<const std::uint8_t> body, TaskResultMsg& out
 }
 
 // --- Endpoint relay --------------------------------------------------------
+
+namespace {
+
+/// Decodes a payload body and re-encodes it canonically, without a local
+/// object: the endpoint relay's codec-oracle step. kNone/kOpaque bodies echo
+/// as empty.
+StatusOr<std::vector<std::uint8_t>> reencode_payload_body(
+    PayloadKind kind, std::span<const std::uint8_t> body) {
+  if (kind == PayloadKind::kNone || kind == PayloadKind::kOpaque) {
+    if (!body.empty()) return bad("payload: metadata-only kind with body");
+    return std::vector<std::uint8_t>{};
+  }
+  auto payload = decode_payload(kind, body, /*modeled_bytes=*/0, /*opaque_source=*/nullptr);
+  if (!payload.is_ok()) return payload.status();
+  return encode_payload(payload.value()).body;
+}
+
+}  // namespace
 
 StatusOr<std::vector<std::uint8_t>> reencode_message(FrameKind frame_kind,
                                                      std::span<const std::uint8_t> body) {

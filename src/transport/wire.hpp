@@ -95,7 +95,7 @@ enum class PayloadKind : std::uint8_t {
   kOpaque = 1,       ///< unregistered type: metadata-only
   kGradCount = 2,    ///< optim::GradCount
   kGradHist = 3,     ///< optim::GradHist
-  kGradVector = 4,   ///< bare linalg::GradVector (tree-combine pieces)
+  // 4 held a bare linalg::GradVector; it is refused like any unknown kind.
   kDenseVector = 5,  ///< linalg::DenseVector (base snapshots)
   kModelDelta = 6,   ///< store::ModelDelta (delta chain)
 };
@@ -116,12 +116,6 @@ struct EncodedPayload {
 [[nodiscard]] support::StatusOr<engine::Payload> decode_payload(
     PayloadKind kind, std::span<const std::uint8_t> body, std::uint64_t modeled_bytes,
     const engine::Payload* opaque_source);
-
-/// Decodes and canonically re-encodes a payload body without needing a local
-/// object — the endpoint relay's codec-oracle step. kOpaque/kNone bodies
-/// echo as empty.
-[[nodiscard]] support::StatusOr<std::vector<std::uint8_t>> reencode_payload_body(
-    PayloadKind kind, std::span<const std::uint8_t> body);
 
 // ---------------------------------------------------------------------------
 // Model plane: a self-delimiting payload envelope [kind, modeled_bytes,

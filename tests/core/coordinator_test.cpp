@@ -4,6 +4,7 @@
 
 #include <chrono>
 #include <thread>
+#include <vector>
 
 namespace asyncml::core {
 namespace {
@@ -49,8 +50,9 @@ TEST(Coordinator, CollectsAndTagsResults) {
   Coordinator coord(cluster);
   coord.start();
 
-  coord.on_dispatch(0, 1, /*version=*/0);
-  cluster.submit(0, int_task(cluster, 0, /*version=*/0, 42));
+  const engine::TaskSpec task = int_task(cluster, 0, /*version=*/0, 42);
+  coord.on_task_dispatch(0, task);
+  cluster.submit(0, task);
 
   auto tagged = coord.collect_for(1000ms);
   ASSERT_TRUE(tagged.has_value());
@@ -67,11 +69,12 @@ TEST(Coordinator, StalenessIsVersionGap) {
 
   // Task computed against version 0; the server advances to 3 before it is
   // collected -> staleness 3.
-  coord.on_dispatch(0, 1, 0);
+  const engine::TaskSpec task = int_task(cluster, 0, /*version=*/0, 1);
+  coord.on_task_dispatch(0, task);
   coord.advance_version();
   coord.advance_version();
   coord.advance_version();
-  cluster.submit(0, int_task(cluster, 0, /*version=*/0, 1));
+  cluster.submit(0, task);
 
   auto tagged = coord.collect_for(1000ms);
   ASSERT_TRUE(tagged.has_value());
@@ -85,14 +88,17 @@ TEST(Coordinator, StatTracksAvailability) {
   coord.start();
 
   EXPECT_EQ(coord.stat().available_workers(), 2);
-  coord.on_dispatch(1, 2, 0);
+  const engine::TaskSpec first = int_task(cluster, 0, 0, 1);
+  const engine::TaskSpec second = int_task(cluster, 1, 0, 2);
+  coord.on_task_dispatch(1, first);
+  coord.on_task_dispatch(1, second);
   const StatSnapshot busy = coord.stat();
   EXPECT_EQ(busy.available_workers(), 1);
   EXPECT_FALSE(busy.workers[1].available);
   EXPECT_EQ(busy.workers[1].outstanding, 2);
 
-  cluster.submit(1, int_task(cluster, 0, 0, 1));
-  cluster.submit(1, int_task(cluster, 1, 0, 2));
+  cluster.submit(1, first);
+  cluster.submit(1, second);
   (void)coord.collect_for(1000ms);
   (void)coord.collect_for(1000ms);
   EXPECT_EQ(coord.stat().available_workers(), 2);
@@ -104,8 +110,9 @@ TEST(Coordinator, StatTracksTaskTimes) {
   Coordinator coord(cluster);
   coord.start();
 
-  coord.on_dispatch(0, 1, 0);
-  cluster.submit(0, int_task(cluster, 0, 0, 1, /*service_ms=*/5.0));
+  const engine::TaskSpec task = int_task(cluster, 0, 0, 1, /*service_ms=*/5.0);
+  coord.on_task_dispatch(0, task);
+  cluster.submit(0, task);
   (void)coord.collect_for(1000ms);
 
   const StatSnapshot snap = coord.stat();
@@ -120,7 +127,8 @@ TEST(Coordinator, SnapshotStalenessReflectsCurrentVersion) {
   Coordinator coord(cluster);
   coord.start();
 
-  coord.on_dispatch(0, 1, /*version=*/0);
+  const engine::TaskSpec task = int_task(cluster, 0, /*version=*/0, 1);
+  coord.on_task_dispatch(0, task);
   const StatSnapshot before = coord.stat();
   EXPECT_EQ(before.workers[0].task_staleness, 0u);
 
@@ -130,7 +138,7 @@ TEST(Coordinator, SnapshotStalenessReflectsCurrentVersion) {
   EXPECT_EQ(after.workers[0].task_staleness, 2u);
   EXPECT_EQ(after.max_staleness(), 2u);  // worker still busy
 
-  cluster.submit(0, int_task(cluster, 0, 0, 1));
+  cluster.submit(0, task);
   (void)coord.collect_for(1000ms);
   EXPECT_EQ(coord.stat().max_staleness(), 0u);  // nothing in flight
   coord.stop();
@@ -141,8 +149,9 @@ TEST(Coordinator, FailuresRoutedSeparately) {
   Coordinator coord(cluster);
   coord.start();
 
-  coord.on_dispatch(0, 1, 0);
-  cluster.submit(0, failing_task(cluster, 0));
+  const engine::TaskSpec task = failing_task(cluster, 0);
+  coord.on_task_dispatch(0, task);
+  cluster.submit(0, task);
 
   // The failure must not appear as a result...
   EXPECT_FALSE(coord.collect_for(100ms).has_value());
@@ -160,8 +169,10 @@ TEST(Coordinator, FifoOrderOfResults) {
   Coordinator coord(cluster);
   coord.start();
 
-  coord.on_dispatch(0, 3, 0);
-  for (int i = 0; i < 3; ++i) cluster.submit(0, int_task(cluster, i, 0, i));
+  std::vector<engine::TaskSpec> tasks;
+  for (int i = 0; i < 3; ++i) tasks.push_back(int_task(cluster, i, 0, i));
+  for (const engine::TaskSpec& task : tasks) coord.on_task_dispatch(0, task);
+  for (const engine::TaskSpec& task : tasks) cluster.submit(0, task);
   for (int i = 0; i < 3; ++i) {
     auto tagged = coord.collect_for(1000ms);
     ASSERT_TRUE(tagged.has_value());
@@ -175,8 +186,9 @@ TEST(Coordinator, HasNextNonBlocking) {
   Coordinator coord(cluster);
   coord.start();
   EXPECT_FALSE(coord.has_next());
-  coord.on_dispatch(0, 1, 0);
-  cluster.submit(0, int_task(cluster, 0, 0, 5));
+  const engine::TaskSpec task = int_task(cluster, 0, 0, 5);
+  coord.on_task_dispatch(0, task);
+  cluster.submit(0, task);
   // Wait for the drain thread to pick it up.
   auto tagged = coord.collect_for(1000ms);
   EXPECT_TRUE(tagged.has_value());
@@ -196,8 +208,9 @@ TEST(Coordinator, QuietPairMeansTheResultIsAlreadyQueued) {
   constexpr int kTasks = 5000;
   int early = 0;
   for (int i = 0; i < kTasks; ++i) {
-    coord.on_dispatch(0, 1, /*version=*/0);
-    cluster.submit(0, int_task(cluster, 0, /*version=*/0, i));
+    const engine::TaskSpec task = int_task(cluster, 0, /*version=*/0, i);
+    coord.on_task_dispatch(0, task);
+    cluster.submit(0, task);
     bool quiet = false;
     while (!coord.has_next()) {
       if (coord.total_outstanding() == 0 && !coord.has_next()) {
@@ -223,8 +236,9 @@ TEST(Coordinator, TotalOutstandingAggregates) {
   Coordinator coord(cluster);
   coord.start();
   EXPECT_EQ(coord.total_outstanding(), 0);
-  coord.on_dispatch(0, 2, 0);
-  coord.on_dispatch(2, 1, 0);
+  coord.on_task_dispatch(0, int_task(cluster, 0, 0, 0));
+  coord.on_task_dispatch(0, int_task(cluster, 1, 0, 0));
+  coord.on_task_dispatch(2, int_task(cluster, 2, 0, 0));
   EXPECT_EQ(coord.total_outstanding(), 3);
   coord.stop();
 }
@@ -237,9 +251,11 @@ TEST(Coordinator, MinInflightVersionCoversOldQueuedTasks) {
   Coordinator coord(cluster);
   coord.start();
 
-  coord.on_dispatch(0, 1, /*version=*/0);  // old task, still in flight
+  const engine::TaskSpec old_task = int_task(cluster, 0, /*version=*/0, 2);
+  coord.on_task_dispatch(0, old_task);  // old task, still in flight
   for (int i = 0; i < 5; ++i) coord.advance_version();
-  coord.on_dispatch(0, 1, /*version=*/5);  // newer task on the other core
+  const engine::TaskSpec new_task = int_task(cluster, 1, /*version=*/5, 1);
+  coord.on_task_dispatch(0, new_task);  // newer task on the other core
 
   StatSnapshot snap = coord.stat();
   EXPECT_EQ(snap.workers[0].last_dispatch_version, 5u);
@@ -247,12 +263,12 @@ TEST(Coordinator, MinInflightVersionCoversOldQueuedTasks) {
   EXPECT_EQ(snap.min_inflight_version(), 0u);
 
   // The newer task finishing first must not unpin the old one.
-  cluster.submit(0, int_task(cluster, 1, /*version=*/5, 1));
+  cluster.submit(0, new_task);
   ASSERT_TRUE(coord.collect_for(1000ms).has_value());
   EXPECT_EQ(coord.stat().min_inflight_version(), 0u);
 
   // Once the old task's result lands, the bound catches up to the present.
-  cluster.submit(0, int_task(cluster, 0, /*version=*/0, 2));
+  cluster.submit(0, old_task);
   ASSERT_TRUE(coord.collect_for(1000ms).has_value());
   EXPECT_EQ(coord.stat().min_inflight_version(), 5u);
   coord.stop();

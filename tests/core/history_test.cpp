@@ -7,57 +7,57 @@
 namespace asyncml::core {
 namespace {
 
-TEST(HistoryRegistry, PublishAndResolve) {
+TEST(ModelStoreHistory, PublishAndResolve) {
   engine::BroadcastStore store;
-  HistoryRegistry registry(&store);
-  registry.publish(linalg::DenseVector{1.0, 2.0}, /*version=*/0);
-  registry.publish(linalg::DenseVector{3.0, 4.0}, /*version=*/1);
+  store::ModelStore history(&store);
+  history.publish(linalg::DenseVector{1.0, 2.0}, /*version=*/0);
+  history.publish(linalg::DenseVector{3.0, 4.0}, /*version=*/1);
 
-  EXPECT_EQ(registry.size(), 2u);
-  EXPECT_DOUBLE_EQ(registry.value_at(0)[1], 2.0);
-  EXPECT_DOUBLE_EQ(registry.value_at(1)[0], 3.0);
+  EXPECT_EQ(history.size(), 2u);
+  EXPECT_DOUBLE_EQ(history.value_at(0)[1], 2.0);
+  EXPECT_DOUBLE_EQ(history.value_at(1)[0], 3.0);
 }
 
-TEST(HistoryRegistry, IdOfUnknownVersionIsNull) {
+TEST(ModelStoreHistory, IdOfUnknownVersionIsNull) {
   engine::BroadcastStore store;
-  HistoryRegistry registry(&store);
-  EXPECT_FALSE(registry.id_of(7).has_value());
-  registry.publish(linalg::DenseVector{1.0}, 7);
-  EXPECT_TRUE(registry.id_of(7).has_value());
+  store::ModelStore history(&store);
+  EXPECT_FALSE(history.id_of(7).has_value());
+  history.publish(linalg::DenseVector{1.0}, 7);
+  EXPECT_TRUE(history.id_of(7).has_value());
 }
 
-TEST(HistoryRegistry, PruneDropsOldVersionsFromStoreToo) {
+TEST(ModelStoreHistory, PruneDropsOldVersionsFromStoreToo) {
   engine::BroadcastStore store;
-  HistoryRegistry registry(&store);
-  registry.publish(linalg::DenseVector{1.0}, 0);
-  registry.publish(linalg::DenseVector{2.0}, 1);
-  registry.publish(linalg::DenseVector{3.0}, 2);
-  const auto old_id = registry.id_of(0);
+  store::ModelStore history(&store);
+  history.publish(linalg::DenseVector{1.0}, 0);
+  history.publish(linalg::DenseVector{2.0}, 1);
+  history.publish(linalg::DenseVector{3.0}, 2);
+  const auto old_id = history.id_of(0);
   ASSERT_TRUE(old_id.has_value());
 
-  registry.prune_below(2);
-  EXPECT_EQ(registry.size(), 1u);
-  EXPECT_FALSE(registry.id_of(0).has_value());
-  EXPECT_FALSE(registry.id_of(1).has_value());
-  EXPECT_TRUE(registry.id_of(2).has_value());
+  history.gc_below(2);
+  EXPECT_EQ(history.size(), 1u);
+  EXPECT_FALSE(history.id_of(0).has_value());
+  EXPECT_FALSE(history.id_of(1).has_value());
+  EXPECT_TRUE(history.id_of(2).has_value());
   EXPECT_FALSE(store.get(*old_id).has_value());
-  EXPECT_EQ(registry.oldest().value(), 2u);
+  EXPECT_EQ(history.oldest().value(), 2u);
 }
 
-TEST(HistoryRegistry, PruneDoesNotTouchForeignBroadcasts) {
+TEST(ModelStoreHistory, PruneDoesNotTouchForeignBroadcasts) {
   engine::BroadcastStore store;
   const engine::BroadcastId foreign = store.put(engine::Payload::wrap<int>(99));
-  HistoryRegistry registry(&store);
-  registry.publish(linalg::DenseVector{1.0}, 0);
-  registry.prune_below(100);
+  store::ModelStore history(&store);
+  history.publish(linalg::DenseVector{1.0}, 0);
+  history.gc_below(100);
   EXPECT_TRUE(store.get(foreign).has_value());
 }
 
 // Random sparse publishes interleaved with GC: every retained version still
 // resolves bit-exactly to what was published.
-TEST(HistoryRegistry, PublishResolveGcStorm) {
+TEST(ModelStoreHistory, PublishResolveGcStorm) {
   engine::BroadcastStore store;
-  HistoryRegistry registry(&store);
+  store::ModelStore history(&store);
   const std::size_t dim = 64;
   linalg::DenseVector w(dim);
   std::map<engine::Version, linalg::DenseVector> published;
@@ -72,15 +72,15 @@ TEST(HistoryRegistry, PublishResolveGcStorm) {
     for (std::size_t t = 0; t < touches; ++t) {
       w[next() % dim] = static_cast<double>(next() % 1000) / 7.0;
     }
-    registry.publish(w, v);
+    history.publish(w, v);
     published.emplace(v, w);
     if (v % 8 == 7) {
       const engine::Version floor = v - 4;
-      registry.prune_below(floor);
+      history.gc_below(floor);
       published.erase(published.begin(), published.lower_bound(floor));
     }
     for (const auto& [q, want] : published) {
-      const linalg::DenseVector& got = registry.value_at(q);
+      const linalg::DenseVector& got = history.value_at(q);
       for (std::size_t i = 0; i < dim; ++i) {
         ASSERT_EQ(got[i], want[i]) << "v=" << q << " i=" << i;
       }
@@ -90,12 +90,12 @@ TEST(HistoryRegistry, PublishResolveGcStorm) {
 
 TEST(HistoryBroadcast, PinnedValueAndHistoricalValue) {
   engine::BroadcastStore store;
-  auto registry = std::make_shared<HistoryRegistry>(&store);
-  registry->publish(linalg::DenseVector{0.0}, 0);
-  registry->publish(linalg::DenseVector{1.0}, 1);
-  registry->publish(linalg::DenseVector{2.0}, 2);
+  auto history = std::make_shared<store::ModelStore>(&store);
+  history->publish(linalg::DenseVector{0.0}, 0);
+  history->publish(linalg::DenseVector{1.0}, 1);
+  history->publish(linalg::DenseVector{2.0}, 2);
 
-  const HistoryBroadcast handle(registry, /*pinned=*/2);
+  const HistoryBroadcast handle(history, /*pinned=*/2);
   EXPECT_TRUE(handle.valid());
   EXPECT_EQ(handle.version(), 2u);
   EXPECT_DOUBLE_EQ(handle.value()[0], 2.0);        // w_br.value
@@ -115,10 +115,10 @@ TEST(HistoryBroadcast, WorkerSideResolutionFetchesEachChainLinkOnce) {
   engine::ClusterMetrics metrics(1);
   engine::BroadcastCache cache(&store, &net, &metrics);
 
-  auto registry = std::make_shared<HistoryRegistry>(&store);
-  registry->publish(linalg::DenseVector(64), 0);  // base: 64 x 8 bytes
-  registry->publish(linalg::DenseVector(64), 1);  // unchanged: empty delta (8B)
-  const HistoryBroadcast handle(registry, 1);
+  auto history = std::make_shared<store::ModelStore>(&store);
+  history->publish(linalg::DenseVector(64), 0);  // base: 64 x 8 bytes
+  history->publish(linalg::DenseVector(64), 1);  // unchanged: empty delta (8B)
+  const HistoryBroadcast handle(history, 1);
 
   engine::WorkerEnv env{0, &cache, &metrics};
   engine::set_current_worker_env(&env);

@@ -89,19 +89,19 @@ void expect_same_task(const engine::TaskFn& fused, const engine::TaskFn& ref,
   if constexpr (std::is_same_v<Payload, GradHist>) expect_bit_equal(got.hist, want.hist);
 }
 
-/// A HistoryRegistry holding `models` as versions 0, 1, …, plus one handle
+/// A ModelStore holding `models` as versions 0, 1, …, plus one handle
 /// pinned at each version.
 struct History {
   engine::BroadcastStore store;
-  std::shared_ptr<core::HistoryRegistry> registry;
+  std::shared_ptr<store::ModelStore> model_store;
   std::vector<core::HistoryBroadcast> handles;
 
   explicit History(std::initializer_list<const linalg::DenseVector*> models) {
-    registry = std::make_shared<core::HistoryRegistry>(&store);
+    model_store = std::make_shared<store::ModelStore>(&store);
     for (const linalg::DenseVector* w : models) {
       const auto v = static_cast<engine::Version>(handles.size());
-      registry->publish(*w, v);
-      handles.emplace_back(registry, v);
+      model_store->publish(*w, v);
+      handles.emplace_back(model_store, v);
     }
   }
 };

@@ -99,7 +99,7 @@ TEST_P(SagaInvariants, VersionTableConsistentAndAlphaBarExact) {
   }
   EXPECT_LT(linalg::max_abs_diff(alpha_bar.span(), expected_mean.span()), 1e-9);
 
-  // Invariant 3: history registry resolves every referenced version to the
+  // Invariant 3: the history store resolves every referenced version to the
   // exact published parameter vector.
   for (std::size_t v = 0; v < published.size(); ++v) {
     const linalg::DenseVector& resolved = ac.history().value_at(v);

@@ -7,7 +7,7 @@
 //     restore fall back to the previous checkpoint record (quarantine, no
 //     abort) and the continuation is still bit-exact;
 //   * the tier itself is invisible to the math: disk on vs off is
-//     bit-identical.
+//     bit-identical, and so is a run whose tier cannot open.
 //
 // The child leg runs through an env-var hook evaluated at static-init time:
 // the re-exec'd binary sees ASYNCML_DISK_CHILD_DIR, runs the solver leg, and
@@ -24,14 +24,17 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 
 #include "data/synthetic.hpp"
+#include "engine/broadcast.hpp"
 #include "linalg/blas.hpp"
 #include "optim/checkpoint.hpp"
 #include "optim/objective.hpp"
 #include "optim/sgd.hpp"
+#include "store/model_store.hpp"
 
 namespace asyncml::optim {
 namespace {
@@ -264,6 +267,46 @@ TEST(DiskRecovery, DiskOnOffIsBitIdentical) {
   }
   // The tier actually ran: blobs were written through.
   EXPECT_GT(c_disk.metrics().disk.blob_writes.load(), 0u);
+}
+
+// A tier that cannot open (its directory would sit under a regular file)
+// downgrades the run to in-memory at the first publish: the run completes on
+// the disk-off trajectory, the tier counts nothing, and checkpoints fall back
+// to the self-contained v2 format.
+TEST(DiskRecovery, UnopenableTierDowngradesToInMemory) {
+  const Workload workload = tiny_workload(1);
+  const std::string blocker = fresh_dir("tier_blocker");
+  std::ofstream(blocker) << "a regular file, not a directory";
+  const std::string ckpt = test_tmp() + "downgrade.ckpt";
+  std::remove(ckpt.c_str());
+
+  SolverConfig config = durable_config(12, blocker + "/store");
+  config.checkpoint_every = 4;
+  config.checkpoint_path = ckpt;
+  engine::Cluster cluster(quiet_config(1));
+  const RunResult downgraded = SgdSolver::run(cluster, workload, config);
+
+  EXPECT_EQ(downgraded.updates, 12u);
+  EXPECT_EQ(downgraded.disk, engine::DiskTierStats{});
+  engine::Cluster c_mem(quiet_config(1));
+  const RunResult in_memory = SgdSolver::run(c_mem, workload, durable_config(12, ""));
+  EXPECT_TRUE(linalg::bitwise_equal(in_memory.final_w, downgraded.final_w))
+      << "the downgrade changed the trajectory";
+
+  auto loaded = load_checkpoint(ckpt);
+  ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
+  EXPECT_EQ(loaded.value().update_index, 12u);
+  EXPECT_TRUE(loaded.value().store_dir.empty()) << "not a v2 checkpoint";
+  std::remove(ckpt.c_str());
+
+  // The downgrade clears the store's switch, so later publishes do not try
+  // to open the tier again.
+  engine::BroadcastStore broadcasts;
+  store::ModelStore store(&broadcasts, config.store_config);
+  store.publish(linalg::DenseVector(4, 1.0), 0);
+  EXPECT_FALSE(store.disk_enabled());
+  EXPECT_EQ(store.disk_tier(), nullptr);
+  std::filesystem::remove(blocker);
 }
 
 }  // namespace

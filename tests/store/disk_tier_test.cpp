@@ -1,5 +1,5 @@
 // DiskTier + ModelStore durability integration: payload round-trips through
-// the LRU and the blob files, dedup, fresh-open manifest rotation, resume
+// the blob files, dedup, fresh-open manifest rotation, resume
 // replay, every injected fault seam (fail_write / torn_write / corrupt_blob /
 // fail_read), quarantine with fallback to the nearest intact ancestor, the
 // GC-after-restore anchor regression, and the refusal to resume a manifest
@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "core/history.hpp"
 #include "engine/fault.hpp"
 #include "engine/metrics.hpp"
 #include "engine/payload.hpp"
@@ -70,7 +69,7 @@ engine::Payload payload_of(const linalg::DenseVector& w) {
   return engine::Payload::wrap<linalg::DenseVector>(w, w.size_bytes());
 }
 
-TEST(DiskTier, PayloadRoundTripsThroughLruAndThroughDisk) {
+TEST(DiskTier, PayloadRoundTripsThroughDisk) {
   const std::string dir = fresh_dir("tier_roundtrip");
   auto opened = DiskTier::open(tier_config(dir), OpenMode::kFresh);
   ASSERT_TRUE(opened.is_ok()) << opened.status().to_string();
@@ -80,18 +79,17 @@ TEST(DiskTier, PayloadRoundTripsThroughLruAndThroughDisk) {
   const auto digest = tier->put_payload(payload_of(w));
   ASSERT_TRUE(digest.is_ok()) << digest.status().to_string();
 
-  // Immediately after a put the bytes are hot: the fetch is an LRU hit.
+  // The fetch right after the put reads the blob file.
   auto hot = tier->fetch_payload(digest.value());
   ASSERT_TRUE(hot.is_ok());
-  EXPECT_GE(tier->metrics().lru_hits.load(), 1u);
-  EXPECT_EQ(tier->metrics().blob_reads.load(), 0u);
+  EXPECT_GE(tier->metrics().blob_reads.load(), 1u);
   ASSERT_TRUE(hot.value().holds<linalg::DenseVector>());
   const auto& got = hot.value().get<linalg::DenseVector>();
   ASSERT_EQ(got.size(), w.size());
   EXPECT_EQ(linalg::max_abs_diff({got.data(), got.size()}, {w.data(), w.size()}),
             0.0);
 
-  // A different tier instance (cold LRU) must read the blob file itself.
+  // A different tier instance reads the blob file too.
   tier.reset();
   auto reopened = DiskTier::open(tier_config(dir), OpenMode::kResume);
   ASSERT_TRUE(reopened.is_ok());
@@ -205,14 +203,14 @@ TEST(DiskTier, HistoryRestoreRefusesAManifestOfAShardedBuild) {
     engine::BroadcastStore broadcasts;
     StoreConfig config;
     config.disk = tier_config(dir);
-    core::HistoryRegistry history(&broadcasts, config);
-    const support::Status status = history.restore_from_disk(/*anchor=*/0);
+    ModelStore store(&broadcasts, config);
+    const support::Status status = store.restore_from_disk(/*anchor=*/0);
     EXPECT_EQ(status.code(), support::StatusCode::kFailedPrecondition)
         << "case " << i << ": " << status.to_string();
   }
 }
 
-// -- fault seams, one at a time (BlobStore level, no LRU in the way) ---------
+// -- fault seams, one at a time (BlobStore level) ----------------------------
 
 std::vector<std::uint8_t> small_payload() {
   std::vector<std::uint8_t> p(96);
@@ -335,17 +333,16 @@ TEST(DiskTierModelStore, RestoreServesHistoryWithoutReplay) {
   const std::string dir = fresh_dir("tier_restore");
   std::vector<linalg::DenseVector> models;
   {
-    auto tier = DiskTier::open(tier_config(dir), OpenMode::kFresh).value();
     engine::BroadcastStore broadcasts;
     ModelStore store(&broadcasts, deep_chain_config());
-    store.attach_disk(tier.get());
+    store.attach_disk(DiskTier::open(tier_config(dir), OpenMode::kFresh).value());
     models = publish_chain(store, 5);
   }
 
-  auto tier = DiskTier::open(tier_config(dir), OpenMode::kResume).value();
   engine::BroadcastStore broadcasts;
   ModelStore store(&broadcasts, deep_chain_config());
-  store.attach_disk(tier.get());
+  store.attach_disk(DiskTier::open(tier_config(dir), OpenMode::kResume).value());
+  DiskTier* tier = store.disk_tier();
   const auto& st = tier->restored();
   ASSERT_TRUE(st.shards.contains(0));
   const std::uint64_t floor =
@@ -369,14 +366,16 @@ TEST(DiskTierModelStore, QuarantinedBlobFallsBackToNearestIntactAncestor) {
   const std::string dir = fresh_dir("tier_fallback");
   std::vector<linalg::DenseVector> models;
   {
-    auto tier = DiskTier::open(tier_config(dir), OpenMode::kFresh).value();
     engine::BroadcastStore broadcasts;
     ModelStore store(&broadcasts, deep_chain_config());
-    store.attach_disk(tier.get());
+    store.attach_disk(DiskTier::open(tier_config(dir), OpenMode::kFresh).value());
     models = publish_chain(store, 5);
   }
 
-  auto tier = DiskTier::open(tier_config(dir), OpenMode::kResume).value();
+  engine::BroadcastStore broadcasts;
+  ModelStore store(&broadcasts, deep_chain_config());
+  store.attach_disk(DiskTier::open(tier_config(dir), OpenMode::kResume).value());
+  DiskTier* tier = store.disk_tier();
   const PublishRecord& v4 = tier->restored().shards.at(0).at(4);
   ASSERT_TRUE(v4.has_delta && !v4.has_base);
   const support::Sha256Digest victim = v4.delta_digest;  // v4's only payload
@@ -394,9 +393,6 @@ TEST(DiskTierModelStore, QuarantinedBlobFallsBackToNearestIntactAncestor) {
     f.write(&byte, 1);
   }
 
-  engine::BroadcastStore broadcasts;
-  ModelStore store(&broadcasts, deep_chain_config());
-  store.attach_disk(tier.get());
   store.restore_from_manifest(tier->restored().shards.at(0), 0, /*anchor=*/5);
 
   // v5's chain runs through the rotted v4 delta: resolution must not crash
@@ -422,18 +418,17 @@ TEST(DiskTierModelStore, GcAfterRestoreNeverUnlinksTheAnchor) {
   const std::string dir = fresh_dir("tier_gc_anchor");
   std::vector<linalg::DenseVector> models;
   {
-    auto tier = DiskTier::open(tier_config(dir), OpenMode::kFresh).value();
     engine::BroadcastStore broadcasts;
     ModelStore store(&broadcasts, deep_chain_config());
-    store.attach_disk(tier.get());
+    store.attach_disk(DiskTier::open(tier_config(dir), OpenMode::kFresh).value());
     models = publish_chain(store, 5);
   }
 
-  auto tier = DiskTier::open(tier_config(dir), OpenMode::kResume).value();
   engine::BroadcastStore broadcasts;
   ModelStore store(&broadcasts, deep_chain_config());
-  store.attach_disk(tier.get());
-  store.restore_from_manifest(tier->restored().shards.at(0), 0, /*anchor=*/5);
+  store.attach_disk(DiskTier::open(tier_config(dir), OpenMode::kResume).value());
+  store.restore_from_manifest(store.disk_tier()->restored().shards.at(0), 0,
+                              /*anchor=*/5);
   ASSERT_EQ(store.restore_anchor(), std::optional<engine::Version>(5));
 
   // The pathological floor: far above everything restored.

@@ -210,10 +210,9 @@ TEST(DiskWriter, FullQueueBlocksPublishUntilTheWriterRecovers) {
   cfg.retry_backoff_ms = 20.0;
   engine::DiskTierMetrics metrics;
   engine::FaultState faults{engine::FaultPlan{}.fail_write(/*times=*/3, /*after=*/0)};
-  auto tier = DiskTier::open(cfg, OpenMode::kFresh, &metrics, &faults).value();
   engine::BroadcastStore broadcasts;
   ModelStore store(&broadcasts, StoreConfig{});
-  store.attach_disk(tier.get());
+  store.attach_disk(DiskTier::open(cfg, OpenMode::kFresh, &metrics, &faults).value());
 
   // Whatever the writer took as its first group (at most a full queue),
   // more than a full queue is left to publish behind it.
@@ -226,7 +225,7 @@ TEST(DiskWriter, FullQueueBlocksPublishUntilTheWriterRecovers) {
   EXPECT_GE(metrics.queue_stalls.load(), 1u);
   EXPECT_GT(metrics.queue_stall_ns.load(), 0u);
 
-  tier->drain();
+  store.disk_tier()->drain();
   EXPECT_EQ(faults.stats().disk_writes_failed, 3u);
   EXPECT_EQ(metrics.write_retries.load(), 3u);
   const ManifestState st = replay(dir);

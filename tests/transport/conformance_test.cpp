@@ -1,15 +1,14 @@
 // Cross-transport conformance (ISSUE 9 tentpole acceptance): the transport
 // backend is a *wiring* knob, not a *math* knob. The same seeded run must
 // produce the same trajectory whether frames stay in-process or genuinely
-// cross a Unix socket / TCP loopback to a worker process and come back as
-// decoded echoes:
+// cross a Unix socket to a worker process and come back as decoded echoes:
 //
 //   - SGD (synchronous, placement-independent): bit-identical
-//     final model and trace across all three backends.
+//     final model and trace across both backends.
 //   - ASGD at 1 worker × 1 core (serial, deterministic): objective within
 //     1e-8 of the in-process oracle (bitwise in practice).
 //
-// Because the socket backends re-encode every payload at the endpoint and
+// Because the socket backend re-encodes every payload at the endpoint and
 // the driver consumes the decoded bytes, any codec non-canonicality or
 // precision loss shows up here as a trajectory divergence.
 
@@ -135,8 +134,7 @@ TEST_P(TransportConformance, SerialAsgdObjectiveMatchesTheInProcessOracle) {
 INSTANTIATE_TEST_SUITE_P(
     DensitiesTimesBackends, TransportConformance,
     ::testing::Combine(::testing::Values(0.01, 1.0),
-                       ::testing::Values(transport::Backend::kUnixSocket,
-                                         transport::Backend::kTcp)),
+                       ::testing::Values(transport::Backend::kUnixSocket)),
     param_name);
 
 // The wire counters of a socket run measure real frames: an SGD run

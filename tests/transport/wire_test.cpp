@@ -410,6 +410,44 @@ TEST(Wire, ModelDeltaDecodeRejectsEachMalformedBody) {
   rejects("descending indices", d);
 }
 
+// Kind 4 once carried a bare GradVector. A well-formed GradVector body under
+// that kind is refused like any unknown kind: in an envelope and in a task
+// result, where the driver decodes them and where the endpoint re-encodes.
+TEST(Wire, RetiredGradVectorKindIsRefused) {
+  constexpr std::uint64_t kRetiredKind = 4;
+  const std::vector<std::uint32_t> indices = {1, 5};
+  const std::vector<double> values = {0.25, -2.0};
+  MsgWriter grad;  // [dim, dense?, densify_threshold, start_dense?, indices, values]
+  grad.begin_array(6);
+  grad.write_uint(8);
+  grad.write_bool(false);
+  grad.write_double(1.01);
+  grad.write_bool(false);
+  grad.write_bin({reinterpret_cast<const std::uint8_t*>(indices.data()),
+                  indices.size() * sizeof(std::uint32_t)});
+  grad.write_bin({reinterpret_cast<const std::uint8_t*>(values.data()),
+                  values.size() * sizeof(double)});
+
+  MsgWriter env;
+  env.begin_array(3);
+  env.write_uint(kRetiredKind);
+  env.write_uint(32);
+  env.write_bin(grad.bytes());
+  const std::vector<std::uint8_t> envelope = env.take();
+  EXPECT_FALSE(decode_payload_envelope(envelope, nullptr).is_ok());
+  EXPECT_FALSE(reencode_message(FrameKind::kOpaque, envelope).is_ok());
+
+  TaskResultMsg msg;
+  msg.payload_kind = static_cast<PayloadKind>(kRetiredKind);
+  msg.payload_modeled_bytes = 32;
+  msg.payload_body = grad.take();
+  const std::vector<std::uint8_t> body = encode_task_result(msg);
+  TaskResultMsg decoded;
+  ASSERT_TRUE(decode_task_result(body, decoded).is_ok());
+  EXPECT_FALSE(from_wire(decoded, nullptr).is_ok());
+  EXPECT_FALSE(reencode_message(FrameKind::kTaskResult, body).is_ok());
+}
+
 TEST(Wire, DenseVectorEnvelopeIsBase) {
   linalg::DenseVector w(128);
   for (std::size_t i = 0; i < w.size(); ++i) w[i] = 1.0 / (1.0 + double(i));

@@ -1,7 +1,7 @@
 // Out-of-process wire endpoint launcher (docs/TRANSPORT.md).
 //
-// The socket transport backends spawn one of these per worker. It connects
-// back to the driver (--uds PATH or --tcp HOST PORT), introduces itself with
+// The socket transport backend spawns one of these per worker. It connects
+// back to the driver (--uds PATH), introduces itself with
 // a kHello frame, and then serves decode→validate→re-encode round trips via
 // transport::run_worker_endpoint until shutdown or driver EOF.
 
@@ -17,7 +17,7 @@ namespace {
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s (--uds PATH | --tcp HOST PORT) --worker ID"
+               "usage: %s --uds PATH --worker ID"
                " [--max-frame BYTES] [--hello-deadline-ms MS]\n",
                argv0);
   return 2;
@@ -30,8 +30,6 @@ int main(int argc, char** argv) {
   using asyncml::transport::ScopedFd;
 
   std::string uds_path;
-  std::string tcp_host;
-  std::uint16_t tcp_port = 0;
   EndpointOptions opts;
 
   for (int i = 1; i < argc; ++i) {
@@ -45,9 +43,6 @@ int main(int argc, char** argv) {
     };
     if (arg == "--uds") {
       uds_path = next("--uds");
-    } else if (arg == "--tcp") {
-      tcp_host = next("--tcp");
-      tcp_port = static_cast<std::uint16_t>(std::strtoul(next("--tcp"), nullptr, 10));
     } else if (arg == "--worker") {
       opts.worker = static_cast<std::int32_t>(std::strtol(next("--worker"), nullptr, 10));
     } else if (arg == "--max-frame") {
@@ -58,15 +53,12 @@ int main(int argc, char** argv) {
       return usage(argv[0]);
     }
   }
-  if (opts.worker < 0 || (uds_path.empty() == (tcp_host.empty() && tcp_port == 0)) ||
-      opts.max_frame_bytes == 0) {
+  if (opts.worker < 0 || uds_path.empty() || opts.max_frame_bytes == 0) {
     return usage(argv[0]);
   }
 
   asyncml::support::StatusOr<ScopedFd> fd =
-      !uds_path.empty()
-          ? asyncml::transport::connect_unix(uds_path, opts.hello_deadline_ms)
-          : asyncml::transport::connect_tcp(tcp_host, tcp_port, opts.hello_deadline_ms);
+      asyncml::transport::connect_unix(uds_path, opts.hello_deadline_ms);
   if (!fd.is_ok()) {
     std::fprintf(stderr, "asyncml_worker[%d]: connect failed: %s\n", opts.worker,
                  fd.status().to_string().c_str());
