@@ -191,9 +191,8 @@ int main() {
                                   .value());
       model_store.restore_from_manifest(
           model_store.disk_tier()->restored().shards.at(0), 0, kChain - 1);
-      const linalg::DenseVector& w =
-          model_store.driver_cache().value_at(kChain - 1);
-      if (w.size() != kDim) std::abort();
+      const auto w = model_store.driver_cache().value_at(kChain - 1);
+      if (w->size() != kDim) std::abort();
       if (it >= 0) total_ms += watch.elapsed_ms();
     }
     const double restore_ms = total_ms / kRestoreIters;

@@ -135,9 +135,7 @@ CaseResult run_saga_case(const optim::Workload& workload, double fraction, int i
   history->publish(w_old, /*version=*/0);
   history->publish(w_new, /*version=*/1);
   const core::HistoryBroadcast handle(history, /*pinned=*/1);
-  const auto hist_model = [handle](engine::Version v) -> const linalg::DenseVector& {
-    return handle.value_at(v);
-  };
+  const auto hist_model = [handle](engine::Version v) { return handle.value_at(v); };
 
   const auto make_perrow = [&](std::shared_ptr<core::SampleVersionTable> table) {
     // The per-row SAGA seq op (value_at per visited row). Samples were last

@@ -78,7 +78,7 @@ bool chain_bit_identical(const engine::BroadcastStore& broadcasts,
     store::VersionedModelCache cache(&model_store, &bcache, &metrics);
     for (std::size_t k = 0; k < published.size(); ++k) {
       const std::size_t v = newest_first ? published.size() - 1 - k : k;
-      identical = identical && linalg::bitwise_equal(cache.value_at(v), published[v]);
+      identical = identical && linalg::bitwise_equal(*cache.value_at(v), published[v]);
     }
   }
   return identical;
@@ -114,9 +114,10 @@ CaseResult run_case(const engine::BroadcastStore& broadcasts,
   CaseResult out;
   double total_ms = 0.0;
   for (int it = -3; it < iters; ++it) {  // negative iterations warm the caches
-    // A warm worker: it materialized v−1 last round, v is new to it. The
-    // cache lives on the heap, as ModelStore::cache_for allocates it in the
-    // engine, so the timing does not follow this frame's stack layout.
+    // A warm worker: it materialized v−1 last round and its task has dropped
+    // the handle, so the cache advances v−1 to v in place. The cache lives on
+    // the heap, as ModelStore::cache_for allocates it in the engine, so the
+    // timing does not follow this frame's stack layout.
     engine::ClusterMetrics metrics(1);
     engine::BroadcastCache bcache(&broadcasts, &net, &metrics);
     const auto cache =
@@ -125,10 +126,10 @@ CaseResult run_case(const engine::BroadcastStore& broadcasts,
     metrics.broadcast_bytes.reset();
 
     support::Stopwatch watch;
-    const linalg::DenseVector& w = cache->value_at(head);
+    const auto w = cache->value_at(head);
     if (it >= 0) total_ms += watch.elapsed_ms();
     if (it == 0) out.step_wire_bytes = metrics.broadcast_bytes.load();
-    if (w[0] > 1e300) std::cout << "";  // keep the resolve observable
+    if ((*w)[0] > 1e300) std::cout << "";  // keep the resolve observable
   }
   out.ns_per_resolve = total_ms * 1e6 / static_cast<double>(iters);
   return out;
@@ -168,9 +169,9 @@ double miss_resolve_ns(std::size_t cached) {
   for (int i = 0; i < kMisses; ++i) {
     const engine::Version v = kHistory + static_cast<engine::Version>(i);
     support::Stopwatch watch;
-    const linalg::DenseVector& resolved = cache.value_at(v);
+    const auto resolved = cache.value_at(v);
     total_ms += watch.elapsed_ms();
-    if (resolved[0] > 1e300) std::cout << "";  // keep the resolve observable
+    if ((*resolved)[0] > 1e300) std::cout << "";  // keep the resolve observable
     // Evict exactly as GC would: the oldest version and its payload id.
     const engine::Version oldest = v - cached;
     cache.drop_below(oldest + 1, {*model_store.id_of(oldest)});

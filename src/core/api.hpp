@@ -83,6 +83,6 @@ inline int ASYNCaggregate(AsyncContext& ac, const engine::Rdd<T>& rdd, U zero,
 [[nodiscard]] inline StatSnapshot STAT(const AsyncContext& ac) { return ac.stat(); }
 
 /// AC.hasNext().
-[[nodiscard]] inline bool ASYNChasNext(const AsyncContext& ac) { return ac.has_next(); }
+[[nodiscard]] inline bool ASYNChasNext(AsyncContext& ac) { return ac.has_next(); }
 
 }  // namespace asyncml::core

@@ -27,10 +27,7 @@ AsyncContext::AsyncContext(engine::Cluster& cluster, int num_partitions,
     if (any_dormant) scheduler_.set_members(std::move(members));
   }
   scheduler_.set_num_partitions(num_partitions);
-  coordinator_.start();
 }
-
-AsyncContext::~AsyncContext() { coordinator_.stop(); }
 
 void AsyncContext::restore(engine::Version version, std::uint64_t round) {
   coordinator_.restore_version(version);
@@ -56,8 +53,8 @@ std::optional<TaggedResult> AsyncContext::collect(
     poll_membership();
     scheduler_.maybe_speculate();
 
-    // Failures are routed to their own queue; poll it so a failed task does
-    // not leave us blocked waiting for a result that will never come.
+    // Failures are set aside by the coordinator; resubmit them so a failed
+    // task does not leave us blocked waiting for a result that never comes.
     while (auto failed = coordinator_.try_collect_failure()) {
       if (retry_factory == nullptr) {
         std::fprintf(stderr,
@@ -71,6 +68,8 @@ std::optional<TaggedResult> AsyncContext::collect(
       }
       scheduler_.resubmit(*failed, *retry_factory);
     }
+    // The one timed wait: short, so speculation and membership are polled
+    // while a straggler holds the round.
     auto collected = coordinator_.collect_for(2ms);
     if (collected.has_value()) {
       scheduler_.on_result_collected(collected->result.partition);
@@ -81,7 +80,7 @@ std::optional<TaggedResult> AsyncContext::collect(
       }
       return collected;
     }
-    if (!coordinator_.has_next() && coordinator_.stopped()) return std::nullopt;
+    if (cluster_.results().closed()) return std::nullopt;
 
     // Deadlock guard: nothing queued, nothing in flight, and nothing arriving
     // means no dispatch will ever reopen — a barrier configured so that its

@@ -58,7 +58,6 @@ class AsyncContext {
   /// ASYNCbroadcast (delta vs full-snapshot publishing, base cadence).
   AsyncContext(engine::Cluster& cluster, int num_partitions,
                store::StoreConfig store_config = {});
-  ~AsyncContext();
 
   AsyncContext(const AsyncContext&) = delete;
   AsyncContext& operator=(const AsyncContext&) = delete;
@@ -66,7 +65,7 @@ class AsyncContext {
   // -- bookkeeping (AC.STAT / AC.hasNext) ------------------------------------
 
   [[nodiscard]] StatSnapshot stat() const { return coordinator_.stat(); }
-  [[nodiscard]] bool has_next() const { return coordinator_.has_next(); }
+  [[nodiscard]] bool has_next() { return coordinator_.has_next(); }
   [[nodiscard]] engine::Version current_version() const {
     return coordinator_.current_version();
   }
@@ -86,9 +85,11 @@ class AsyncContext {
 
   // -- collection (ASYNCcollect / ASYNCcollectAll) ----------------------------
 
-  /// Blocking FIFO collect. If `retry_factory` is non-null, failed tasks
+  /// Blocking FIFO collect, run on the driver thread: it pops the cluster's
+  /// result channel itself. If `retry_factory` is non-null, failed tasks
   /// observed while waiting are resubmitted through it (Spark retry
   /// semantics); the retry budget guards against permanently failing tasks.
+  /// Returns empty only once the cluster has shut its result channel.
   [[nodiscard]] std::optional<TaggedResult> collect(
       const AsyncScheduler::TaskFactory* retry_factory = nullptr);
 
@@ -196,7 +197,7 @@ class AsyncContext {
     out.reserve(static_cast<std::size_t>(total));
     while (static_cast<int>(out.size()) < total) {
       auto collected = collect(&factory);
-      if (!collected.has_value()) break;  // context stopped
+      if (!collected.has_value()) break;  // cluster shut down
       out.push_back(std::move(*collected));
     }
     return out;

@@ -2,28 +2,28 @@
 
 // The ASYNCcoordinator (paper §4.2).
 //
-// A dedicated thread drains the cluster's result channel, annotates each task
-// result with worker attributes (staleness, mini-batch provenance, worker
-// id), maintains the STAT table, and exposes the annotated results in FIFO
-// order (ASYNCcollect).  Failed task results are routed to a separate queue
-// so the scheduler can resubmit them without disturbing the result FIFO.
+// The coordinator runs on the driver thread and owns no thread of its own:
+// collecting pops the cluster's result channel, maintains the STAT table
+// (dedup, EWMA task time, failure counts) and hands the results out in FIFO
+// order (ASYNCcollect), annotated with worker attributes (staleness, worker
+// id).  Failed task results are set aside so the scheduler can resubmit them
+// without disturbing the FIFO.  Every method is driver-thread-only; results
+// cross from the executors through the result channel alone.
 //
 // The model-parameter version is owned here: the server's solver loop calls
 // advance_version() after each update, and staleness of a result is computed
 // as (version at collection) − (version the task computed against).
 
-#include <atomic>
+#include <chrono>
+#include <deque>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <set>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/stat.hpp"
 #include "engine/cluster.hpp"
-#include "support/blocking_queue.hpp"
 #include "support/ewma.hpp"
 
 namespace asyncml::core {
@@ -32,68 +32,54 @@ namespace asyncml::core {
 /// ASYNCcollectAll returns.
 struct TaggedResult {
   engine::TaskResult result;
-  /// Staleness of this result: version at arrival − task's model version.
+  /// Staleness of this result: version at collection − task's model version,
+  /// the τ that Listing 1's α/(1+τ) applies.
   std::uint64_t staleness = 0;
-  /// Snapshot of the submitting worker's STAT row at arrival.
+  /// Snapshot of the submitting worker's STAT row at collection.
   WorkerStat worker;
 };
 
 class Coordinator {
  public:
   explicit Coordinator(engine::Cluster& cluster);
-  ~Coordinator();
 
   Coordinator(const Coordinator&) = delete;
   Coordinator& operator=(const Coordinator&) = delete;
 
-  /// Starts the drain thread. Called by AsyncContext's constructor.
-  void start();
-
-  /// Stops the drain thread (does not shut the cluster down). Idempotent.
-  void stop();
-
   // -- bookkeeping reads ----------------------------------------------------
 
   [[nodiscard]] StatSnapshot stat() const;
-  [[nodiscard]] engine::Version current_version() const noexcept {
-    return version_.load(std::memory_order_acquire);
-  }
+  [[nodiscard]] engine::Version current_version() const noexcept { return version_; }
 
-  /// True if an annotated result is waiting (AC.hasNext()). A result is
-  /// queued before its task leaves the outstanding count, so
+  /// True if a result is ready to collect (AC.hasNext()); drains the result
+  /// channel without blocking first. A task leaves the outstanding count
+  /// only when its result is taken off the channel, so
   /// total_outstanding() == 0 && !has_next() means no result is in flight.
-  [[nodiscard]] bool has_next() const { return !results_.empty(); }
-
-  /// True once stop() has been called (collect() will not block again).
-  [[nodiscard]] bool stopped() const noexcept {
-    return !running_.load(std::memory_order_acquire);
-  }
+  [[nodiscard]] bool has_next();
 
   // -- collection ------------------------------------------------------------
 
-  /// FIFO pop of the next annotated result; blocks up to `timeout`.
+  /// FIFO pop of the next result, tagged at collection. Blocks up to
+  /// `timeout`, and returns empty early once a failed task is waiting for
+  /// try_collect_failure (or the cluster has shut the channel).
   [[nodiscard]] std::optional<TaggedResult> collect_for(std::chrono::milliseconds timeout);
-
-  /// Blocking FIFO pop; returns nullopt only when stopped.
-  [[nodiscard]] std::optional<TaggedResult> collect();
 
   /// Non-blocking pop.
   [[nodiscard]] std::optional<TaggedResult> try_collect();
 
-  /// Failed task results (after worker-side retries are exhausted upstream).
+  /// Failed task results (after worker-side retries are exhausted upstream);
+  /// drains the result channel without blocking first.
   [[nodiscard]] std::optional<engine::TaskResult> try_collect_failure();
 
   // -- server-side hooks ------------------------------------------------------
 
   /// Bumps the model version; call after every model update.
-  void advance_version() { version_.fetch_add(1, std::memory_order_acq_rel); }
+  void advance_version() { ++version_; }
 
   /// Seeds the version counter from a checkpoint. Call before any dispatch:
   /// tasks pin the version at dispatch time, so a resumed run must start
   /// counting where the interrupted one stopped (optim/checkpoint.hpp).
-  void restore_version(engine::Version version) {
-    version_.store(version, std::memory_order_release);
-  }
+  void restore_version(engine::Version version) { version_ = version; }
 
   /// Records that `spec` was dispatched to `worker` against its model version
   /// (called by the scheduler; marks the worker unavailable), and tracks the
@@ -105,11 +91,11 @@ class Coordinator {
   /// mini-batch, so duplicates are bit-identical.
   void on_task_dispatch(engine::WorkerId worker, const engine::TaskSpec& spec);
 
-  /// Registers a speculative replica of an in-flight task, atomically with
-  /// the dedup bookkeeping: succeeds only while the original's identity is
-  /// still undelivered. Returns false when the original's result has already
-  /// been accounted (it may be sitting uncollected in the result queue) — a
-  /// replica dispatched past that point would be delivered a second time.
+  /// Registers a speculative replica of an in-flight task with the dedup
+  /// bookkeeping: succeeds only while the original's identity is still
+  /// undelivered. Returns false when the original's result has already been
+  /// accounted (it may be waiting uncollected) — a replica dispatched past
+  /// that point would be delivered a second time.
   [[nodiscard]] bool try_register_replica(engine::WorkerId worker,
                                           const engine::TaskSpec& spec);
 
@@ -122,8 +108,8 @@ class Coordinator {
   /// Writes off a registered copy presumed lost in transit (a dropped result
   /// — see engine/fault.hpp): unwinds its STAT registration like
   /// on_dispatch_aborted, but only if that copy is still unaccounted — false
-  /// means its result arrived in the meantime and nothing was changed, so the
-  /// caller can never double-unwind in the race against the drain thread.
+  /// means its result was taken off the channel in the meantime and nothing
+  /// was changed, so the caller can never double-unwind.
   /// Should the written-off result surface after all, per-worker dedup drops
   /// it as an excess arrival without touching STAT.
   [[nodiscard]] bool try_write_off(engine::WorkerId worker,
@@ -138,7 +124,7 @@ class Coordinator {
   /// Replica results dropped by first-result-wins dedup (OK duplicates plus
   /// failures of already-delivered tasks, which need no retry).
   [[nodiscard]] std::uint64_t duplicates_dropped() const noexcept {
-    return duplicates_dropped_.load(std::memory_order_relaxed);
+    return duplicates_dropped_;
   }
 
  private:
@@ -158,26 +144,30 @@ class Coordinator {
     bool delivered = false;  ///< an OK result has already been released
   };
 
-  void drain_loop();
-  /// Tags, dedups, and routes one delivered TaskResult (drain_loop body).
+  /// Drains the result channel without blocking.
+  void poll();
+  /// Dedups and routes one TaskResult taken off the channel: an OK result
+  /// joins ready_, a failure joins failed_, a duplicate is dropped.
   void process_result(engine::TaskResult result);
-  void apply_result_locked(const engine::TaskResult& r);
+  /// Takes the oldest ready result, tagged against the current version and
+  /// STAT row.
+  [[nodiscard]] std::optional<TaggedResult> take_next();
+  void apply_result(const engine::TaskResult& r);
   /// Counts one task dispatched to `worker` against `version` in STAT.
-  void register_dispatch_locked(engine::WorkerId worker, engine::Version version);
-  /// Reverses one register_dispatch_locked slot (STAT half of abort/write-off).
-  void unwind_dispatch_locked(engine::WorkerId worker, engine::Version version);
+  void register_dispatch(engine::WorkerId worker, engine::Version version);
+  /// Reverses one register_dispatch slot (STAT half of abort/write-off).
+  void unwind_dispatch(engine::WorkerId worker, engine::Version version);
   /// Drops the worker's copy from `it`'s entry; erases the entry when no
   /// copies remain and records the identity in last_accounted_seq_.
-  void consume_copy_locked(std::map<TaskKey, InflightTask>::iterator it,
-                           engine::WorkerId worker);
+  void consume_copy(std::map<TaskKey, InflightTask>::iterator it,
+                    engine::WorkerId worker);
   /// Refreshes `row.min_outstanding_version` from the in-flight version
-  /// multiset; requires stat_mutex_ held.
-  void fill_min_outstanding_locked(WorkerStat& row) const;
+  /// multiset.
+  void fill_min_outstanding(WorkerStat& row) const;
 
   engine::Cluster& cluster_;
-  std::atomic<engine::Version> version_{0};
+  engine::Version version_ = 0;
 
-  mutable std::mutex stat_mutex_;
   std::vector<WorkerStat> stats_;
   /// Per-worker versions of tasks currently in flight (one entry per task):
   /// the authoritative source of the history-GC bound. A plain "last
@@ -194,13 +184,13 @@ class Coordinator {
   /// an injected duplicate of a retired task, or a written-off copy that
   /// surfaced late — and must be dropped without any STAT bookkeeping.
   std::map<engine::PartitionId, std::uint64_t> last_accounted_seq_;
-  std::atomic<std::uint64_t> duplicates_dropped_{0};
+  std::uint64_t duplicates_dropped_ = 0;
 
-  support::BlockingQueue<TaggedResult> results_;
-  support::BlockingQueue<engine::TaskResult> failures_;
-
-  std::atomic<bool> running_{false};
-  std::jthread drain_thread_;
+  /// Results taken off the channel but not yet collected, in arrival order.
+  /// The channel is drained in one swap per wakeup, not one lock round trip
+  /// per result.
+  std::deque<engine::TaskResult> ready_;
+  std::deque<engine::TaskResult> failed_;
 };
 
 }  // namespace asyncml::core

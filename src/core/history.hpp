@@ -44,14 +44,16 @@ class HistoryBroadcast {
   [[nodiscard]] bool valid() const noexcept { return store_ != nullptr; }
   [[nodiscard]] engine::Version version() const noexcept { return pinned_; }
 
-  /// The model this task was dispatched against (`w_br.value`).
-  [[nodiscard]] const linalg::DenseVector& value() const {
+  /// The model this task was dispatched against (`w_br.value`), as a
+  /// counted handle: hold it for as long as you read the model.
+  [[nodiscard]] std::shared_ptr<const linalg::DenseVector> value() const {
     return store_->value_at(pinned_);
   }
 
   /// A historical model (`w_br.value(index)` resolves the sample's version
   /// through the SampleVersionTable first, then calls this).
-  [[nodiscard]] const linalg::DenseVector& value_at(engine::Version v) const {
+  [[nodiscard]] std::shared_ptr<const linalg::DenseVector> value_at(
+      engine::Version v) const {
     return store_->value_at(v);
   }
 

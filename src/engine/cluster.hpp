@@ -6,7 +6,8 @@
 // The Cluster is deliberately mode-agnostic: it only ships tasks and exposes
 // the result queue.  Synchronous (BSP) stage execution and the asynchronous
 // ASYNC path are both built on top — the former via collect_n(), the latter
-// via the coordinator in src/core which continuously drains results().
+// via the coordinator in src/core, which pops results() on the driver thread
+// whenever the solver collects.
 
 #include <atomic>
 #include <memory>

@@ -45,6 +45,18 @@
 
 namespace asyncml::optim::detail {
 
+/// Holds a model a task body reads, for as long as it reads: the counted
+/// handle core::HistoryBroadcast returns (a worker cache advances a model in
+/// place once no handle holds it), or a pointer to what an
+/// engine::Broadcast-backed handle returns, whose payload outlives the task.
+inline const linalg::DenseVector* hold(const linalg::DenseVector& model) {
+  return &model;
+}
+inline std::shared_ptr<const linalg::DenseVector> hold(
+    std::shared_ptr<const linalg::DenseVector> model) {
+  return model;
+}
+
 /// Selects this task's mini-batch rows (local offsets into `range`).
 /// `fraction` engaged = Bernoulli sample via the task RNG (the draw sequence
 /// of Rdd::sample); nullopt = the whole partition with no RNG draws (the
@@ -200,8 +212,8 @@ template <typename Handle>
         GradCount out{linalg::GradVector(grad_cfg)};
         out.count = rows.vec().size();
         if (out.count > 0) {
-          const linalg::DenseVector& w = w_br.value();
-          fused_grad_sum(*dataset, range, rows.span(), *loss, w.span(), out.grad,
+          const auto w = hold(w_br.value());
+          fused_grad_sum(*dataset, range, rows.span(), *loss, w->span(), out.grad,
                          arena);
         }
         telemetry::ScopedStageTimer serialize_timer(
@@ -215,7 +227,7 @@ template <typename Handle>
 /// second historical-margin pass, each sample's history recomputed at the
 /// model version the SampleVersionTable remembers (resolved through
 /// `hist_model`, memoized per distinct version), and the table advanced to
-/// `set_version`.  `HistModel` maps engine::Version -> const DenseVector&.
+/// `set_version`.  `HistModel` maps engine::Version to what `hold` takes.
 template <typename Handle, typename HistModel>
 [[nodiscard]] std::shared_ptr<const engine::TaskFn> make_saga_batch_fn(
     data::DatasetPtr dataset, std::vector<data::RowRange> partitions,
@@ -240,8 +252,8 @@ template <typename Handle, typename HistModel>
           const linalg::DenseVector& all_labels = dataset->labels();
 
           // Fresh pass at the pinned model.
-          const linalg::DenseVector& w = w_br.value();
-          fused_grad_sum(*dataset, range, rows.span(), *loss, w.span(), out.grad,
+          const auto w = hold(w_br.value());
+          fused_grad_sum(*dataset, range, rows.span(), *loss, w->span(), out.grad,
                          arena);
 
           auto margins = arena.doubles(b);
@@ -252,16 +264,15 @@ template <typename Handle, typename HistModel>
           // last seen at the same version), so margins are computed with the
           // batch kernels per maximal same-version run — values are
           // per-row dots either way, so run boundaries never change bits.
-          // The resolved model ref is memoized per distinct version.
+          // The resolved model is held, memoized per distinct version, until
+          // the task ends.
           auto hist_rows = arena.indices(b);
-          std::vector<std::pair<engine::Version, const linalg::DenseVector*>> cache;
+          std::vector<std::pair<engine::Version, decltype(hold(hist_model(0)))>> cache;
           const auto resolve = [&](engine::Version v) -> const linalg::DenseVector& {
             for (const auto& [version, model] : cache) {
               if (version == v) return *model;
             }
-            const linalg::DenseVector& model = hist_model(v);
-            cache.emplace_back(v, &model);
-            return model;
+            return *cache.emplace_back(v, hold(hist_model(v))).second;
           };
           std::size_t h = 0;
           std::size_t run_start = 0;
@@ -397,9 +408,10 @@ inline void fused_grad_sum_pair(const data::Dataset& dataset,
         GradHist out{linalg::GradVector(grad_cfg), linalg::GradVector(grad_cfg)};
         out.count = rows.vec().size();
         if (out.count > 0) {
-          fused_grad_sum_pair(*dataset, range, rows.span(), *loss,
-                              w_br.value().span(), snapshot_br.value().span(),
-                              out.grad, out.hist, arena);
+          const auto w = w_br.value();
+          const auto snapshot = snapshot_br.value();
+          fused_grad_sum_pair(*dataset, range, rows.span(), *loss, w->span(),
+                              snapshot->span(), out.grad, out.hist, arena);
         }
         telemetry::ScopedStageTimer serialize_timer(
             telemetry::Stage::kSerialize);

@@ -344,9 +344,7 @@ template <typename Handle>
   return make_saga_batch_fn(
       workload.dataset, workload.partitions, workload.loss, w_br, std::move(table),
       grad_cfg, fraction,
-      [w_br](engine::Version v) -> const linalg::DenseVector& {
-        return w_br.value_at(v);
-      },
+      [w_br](engine::Version v) { return w_br.value_at(v); },
       w_br.version());
 }
 

@@ -10,7 +10,8 @@
 
 namespace asyncml::store {
 
-const linalg::DenseVector& VersionedModelCache::value_at(engine::Version version) {
+std::shared_ptr<const linalg::DenseVector> VersionedModelCache::value_at(
+    engine::Version version) {
   // Telemetry model-fetch segment: the whole resolution — hit or chain walk,
   // including the modeled wire sleeps the admits charge — is the "fetch and
   // materialize w" cost of the calling task. No-op off the executor threads.
@@ -20,6 +21,7 @@ const linalg::DenseVector& VersionedModelCache::value_at(engine::Version version
   for (int attempt = 0; attempt < 16; ++attempt) {
     std::vector<ChainLink> chain;
     std::shared_ptr<const linalg::DenseVector> anchor;
+    bool in_place = false;
     {
       std::unique_lock lock(mutex_);
       // Single-flight: one chain resolution at a time per cache. A sibling
@@ -32,7 +34,7 @@ const linalg::DenseVector& VersionedModelCache::value_at(engine::Version version
       });
       if (const auto it = models_.find(version); it != models_.end()) {
         if (metrics_ != nullptr) metrics_->broadcast_hits.add(1);
-        return *it->second;
+        return it->second.model;
       }
       inflight_.insert(version);
       // The walk probes models_ under this lock (lock order cache → store,
@@ -45,7 +47,19 @@ const linalg::DenseVector& VersionedModelCache::value_at(engine::Version version
       };
       chain = store_->chain_for(version, &materialized);
       assert(!chain.empty());
-      if (!chain.front().is_base) anchor = models_.at(chain.front().version);
+      if (!chain.front().is_base) {
+        const auto it = models_.find(chain.front().version);
+        // Copying the handle increments its count with acquire-release
+        // ordering, so every reader that has dropped its handle is ordered
+        // before this thread's writes. A count of 2 (the map's and this
+        // copy) means nobody else holds it, and nobody can get it while the
+        // lock is held: take it out of the map and advance it in place.
+        anchor = it->second.model;
+        if (it->second.owned && anchor.use_count() == 2) {
+          models_.erase(it);
+          in_place = true;
+        }
+      }
     }
     // From here on this thread owns the latch for `version`: every exit path
     // below releases it (a restart or a commit).
@@ -61,7 +75,7 @@ const linalg::DenseVector& VersionedModelCache::value_at(engine::Version version
              (entry->base_id == resolved_id || entry->delta_id == resolved_id);
     };
 
-    linalg::DenseVector w;
+    std::shared_ptr<linalg::DenseVector> w;
     if (head.is_base) {
       // The chain anchors on a base snapshot: admit it (charged on a miss)
       // and materialize it zero-copy by aliasing the payload.
@@ -82,22 +96,23 @@ const linalg::DenseVector& VersionedModelCache::value_at(engine::Version version
           resolved_cv_.notify_all();
           continue;
         }
-        const auto it = models_.emplace(version, std::move(base)).first;
+        const auto it = models_.emplace(version, Materialized{std::move(base)}).first;
         inflight_.erase(version);
         resolved_cv_.notify_all();
-        return *it->second;
+        return it->second.model;
       }
-      {
-        // Caching an ancestor base is always safe: bases below the target
-        // are never republished (only the newest version can be), and a GC
-        // rebase reuses identical values under a fresh id.
-        std::lock_guard lock(mutex_);
-        const auto it = models_.emplace(head.version, std::move(base)).first;
-        w = *it->second;
-      }
+      w = std::make_shared<linalg::DenseVector>(*base);
+      // Caching an ancestor base is always safe: bases below the target
+      // are never republished (only the newest version can be), and a GC
+      // rebase reuses identical values under a fresh id.
+      std::lock_guard lock(mutex_);
+      models_.emplace(head.version, Materialized{std::move(base)});
+    } else if (in_place) {
+      // Not a const object: this cache allocated it (below) as non-const.
+      w = std::const_pointer_cast<linalg::DenseVector>(std::move(anchor));
     } else {
-      // Nearest materialized ancestor: start from the local copy, free.
-      w = *anchor;
+      // Nearest materialized ancestor, held elsewhere too: start from a copy.
+      w = std::make_shared<linalg::DenseVector>(*anchor);
     }
 
     for (std::size_t i = 1; i < chain.size(); ++i) {
@@ -105,26 +120,25 @@ const linalg::DenseVector& VersionedModelCache::value_at(engine::Version version
       if (bcache_ != nullptr) {
         payload = bcache_->admit(chain[i].id, payload, engine::BroadcastClass::kDelta);
       }
-      payload.get<ModelDelta>().apply_to(w.span());
+      payload.get<ModelDelta>().apply_to(w->span());
     }
 
     // Commit under the cache lock with the store entry re-checked inside it
     // (see the base-head commit above for why the ordering is airtight): a
     // version republished with different content while we applied the old
-    // chain must not be served as a "materialized hit" forever.
+    // chain must not be served as a "materialized hit" forever. A failed
+    // check drops `w`, an anchor taken in place included, and walks again.
     std::lock_guard lock(mutex_);
     if (!still_current()) {
       inflight_.erase(version);
       resolved_cv_.notify_all();
       continue;
     }
-    const auto it = models_
-                        .emplace(version, std::make_shared<const linalg::DenseVector>(
-                                              std::move(w)))
-                        .first;
+    const auto it =
+        models_.emplace(version, Materialized{std::move(w), /*owned=*/true}).first;
     inflight_.erase(version);
     resolved_cv_.notify_all();
-    return *it->second;
+    return it->second.model;
   }
   std::fprintf(stderr,
                "VersionedModelCache: version %llu kept being invalidated during "

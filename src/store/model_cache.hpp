@@ -28,10 +28,17 @@
 // (Payload::share), so a chain's base costs memory once regardless of how
 // many caches anchor on it.
 //
+// value_at hands out a counted handle, and a reader holds it for as long as
+// it reads.  That lets a resolve advance a model in place: when the chain's
+// head is a materialization this cache allocated itself and the map holds
+// its only reference, the resolve takes it out of the map and applies the
+// deltas to it, instead of copying O(dim) for every new version.  Deltas
+// are overwrites, so the values are the same bits whichever buffer receives
+// them.  A base alias is never written.
+//
 // Thread safety: all methods are safe to call from the worker's executor
-// threads concurrently with driver-side publish/GC.  Returned references stay
-// valid until the version is dropped by GC — which the STAT-keyed GC bound
-// guarantees cannot happen while a dispatched task can still reference it.
+// threads concurrently with driver-side publish/GC.  A returned handle keeps
+// its model's bits unchanged for as long as it is held, GC or not.
 
 #include <condition_variable>
 #include <memory>
@@ -63,7 +70,8 @@ class VersionedModelCache {
   /// exactly the chain links missing from this worker and charges their exact
   /// wire bytes, planning the chain in O(links).  Aborts (via
   /// ModelStore::chain_for) on unknown/GC'd versions.
-  [[nodiscard]] const linalg::DenseVector& value_at(engine::Version version);
+  [[nodiscard]] std::shared_ptr<const linalg::DenseVector> value_at(
+      engine::Version version);
 
   /// True if `version` is materialized locally (value_at would be free).
   [[nodiscard]] bool contains(engine::Version version) const;
@@ -86,10 +94,17 @@ class VersionedModelCache {
   const ModelStore* store_;
   engine::BroadcastCache* bcache_;   ///< null on the driver — no charging
   engine::ClusterMetrics* metrics_;  ///< null on the driver
+  /// One materialized version.
+  struct Materialized {
+    std::shared_ptr<const linalg::DenseVector> model;
+    /// Allocated by this cache (non-const), not an alias of a broadcast
+    /// payload: the only kind a resolve may advance in place.
+    bool owned = false;
+  };
+
   mutable std::mutex mutex_;
   std::condition_variable resolved_cv_;
-  std::unordered_map<engine::Version, std::shared_ptr<const linalg::DenseVector>>
-      models_;
+  std::unordered_map<engine::Version, Materialized> models_;
   std::unordered_set<engine::Version> inflight_;  ///< single-flight latches
 };
 

@@ -558,7 +558,8 @@ void ModelStore::gc_below(engine::Version min_version) {
   if (tier_ != nullptr && floor_advanced) tier_->gc_floor(min_version);
 }
 
-const linalg::DenseVector& ModelStore::value_at(engine::Version version) const {
+std::shared_ptr<const linalg::DenseVector> ModelStore::value_at(
+    engine::Version version) const {
   // Worker threads resolve through their charged cache, the driver through
   // the uncharged one.
   engine::WorkerEnv* env = engine::current_worker_env();

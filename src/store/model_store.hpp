@@ -178,9 +178,11 @@ class ModelStore {
   /// Resolves the model at `version`. On a worker thread this routes through
   /// the worker's cache_for (materialized hit = free; miss fetches and
   /// charges exactly the missing chain links); on the driver, through the
-  /// uncharged driver_cache. Aborts if the version was never published or
-  /// was GC'd — a logic error upstream.
-  [[nodiscard]] const linalg::DenseVector& value_at(engine::Version version) const;
+  /// uncharged driver_cache. Hold the returned handle for as long as you
+  /// read the model (VersionedModelCache). Aborts if the version was never
+  /// published or was GC'd — a logic error upstream.
+  [[nodiscard]] std::shared_ptr<const linalg::DenseVector> value_at(
+      engine::Version version) const;
 
   /// The per-worker materialization cache (created on first use). `bcache`
   /// and `metrics` belong to the worker; fetches charge through them.

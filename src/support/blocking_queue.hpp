@@ -80,9 +80,9 @@ class BlockingQueue {
   }
 
   /// Takes the entire queue contents in one swap under one lock — the batch
-  /// consumer's primitive (the coordinator's result loop drains every
-  /// delivered TaskResult per wakeup instead of paying one mutex round-trip
-  /// each). Returns an empty deque when the queue is empty.
+  /// consumer's primitive (the coordinator's collect drains every delivered
+  /// TaskResult per wakeup instead of paying one mutex round-trip each).
+  /// Returns an empty deque when the queue is empty.
   std::deque<T> drain() {
     std::deque<T> out;
     {

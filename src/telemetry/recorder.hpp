@@ -6,9 +6,9 @@
 // stable pointer), but it is inert until a solver arms it from
 // SolverConfig::telemetry. Disabled cost is a single relaxed atomic load per
 // task. Harvests — triggered every `harvest_every` processed results by the
-// coordinator's drain thread, plus a final sweep at run end — drain every
-// ring into the TelemetryStore under a mutex that serializes consumers (the
-// rings are single-consumer by contract).
+// coordinator on the driver thread, between updates, plus a final sweep at
+// run end — drain every ring into the TelemetryStore under a mutex that
+// serializes consumers (the rings are single-consumer by contract).
 
 #include <atomic>
 #include <cstdint>
@@ -55,8 +55,9 @@ class TelemetryRecorder {
 
   void note_update() { store_.note_update(); }
 
-  /// Harvest-cycle cadence hook, called by the coordinator drain thread per
-  /// processed result: every `harvest_every`-th call drains the rings.
+  /// Harvest-cycle cadence hook, called by the coordinator on the driver
+  /// thread per processed result: every `harvest_every`-th call drains the
+  /// rings.
   void on_result_processed();
 
   /// Drain every ring into the store now (also the final-sweep entry point).

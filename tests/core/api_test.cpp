@@ -76,8 +76,8 @@ TEST(PaperApi, BroadcastHistoryByName) {
   const HistoryBroadcast w0 = ASYNCbroadcast(ac, linalg::DenseVector{1.0});
   ac.advance_version();
   const HistoryBroadcast w1 = ASYNCbroadcast(ac, linalg::DenseVector{2.0});
-  EXPECT_DOUBLE_EQ(w1.value()[0], 2.0);
-  EXPECT_DOUBLE_EQ(w1.value_at(w0.version())[0], 1.0);
+  EXPECT_DOUBLE_EQ((*w1.value())[0], 2.0);
+  EXPECT_DOUBLE_EQ((*w1.value_at(w0.version()))[0], 1.0);
 }
 
 TEST(PaperApi, Algorithm2Transliteration) {
@@ -102,8 +102,8 @@ TEST(PaperApi, Algorithm2Transliteration) {
   auto grad_map = [loss, &dim](core::HistoryBroadcast handle) {
     return [loss, handle, dim](optim::GradCount acc, const data::LabeledPoint& p) {
       acc.grad.ensure(linalg::GradVectorConfig(dim));
-      const auto& model = handle.value();
-      p.features.axpy_into(loss->derivative(p.features.dot(model.span()), p.label),
+      const auto model = handle.value();
+      p.features.axpy_into(loss->derivative(p.features.dot(model->span()), p.label),
                            acc.grad);
       acc.count += 1;
       return acc;

@@ -48,7 +48,6 @@ engine::TaskSpec failing_task(engine::Cluster& cluster, engine::PartitionId p) {
 TEST(Coordinator, CollectsAndTagsResults) {
   engine::Cluster cluster(quiet_config(2));
   Coordinator coord(cluster);
-  coord.start();
 
   const engine::TaskSpec task = int_task(cluster, 0, /*version=*/0, 42);
   coord.on_task_dispatch(0, task);
@@ -59,13 +58,11 @@ TEST(Coordinator, CollectsAndTagsResults) {
   EXPECT_EQ(tagged->result.payload.get<int>(), 42);
   EXPECT_EQ(tagged->staleness, 0u);
   EXPECT_EQ(tagged->worker.id, 0);
-  coord.stop();
 }
 
 TEST(Coordinator, StalenessIsVersionGap) {
   engine::Cluster cluster(quiet_config(1));
   Coordinator coord(cluster);
-  coord.start();
 
   // Task computed against version 0; the server advances to 3 before it is
   // collected -> staleness 3.
@@ -79,13 +76,35 @@ TEST(Coordinator, StalenessIsVersionGap) {
   auto tagged = coord.collect_for(1000ms);
   ASSERT_TRUE(tagged.has_value());
   EXPECT_EQ(tagged->staleness, 3u);
-  coord.stop();
+}
+
+TEST(Coordinator, StalenessCountsUpdatesBetweenArrivalAndCollection) {
+  // The result reaches the coordinator at version 0, then the driver
+  // advances the model twice before collecting it: the tag is taken at
+  // collection, so it is the τ the update is applied with.
+  engine::Cluster cluster(quiet_config(1));
+  Coordinator coord(cluster);
+
+  const engine::TaskSpec task = int_task(cluster, 0, /*version=*/0, 1);
+  coord.on_task_dispatch(0, task);
+  cluster.submit(0, task);
+  const auto deadline = std::chrono::steady_clock::now() + 1000ms;
+  while (!coord.has_next() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_TRUE(coord.has_next());
+  coord.advance_version();
+  coord.advance_version();
+
+  auto tagged = coord.collect_for(1000ms);
+  ASSERT_TRUE(tagged.has_value());
+  EXPECT_EQ(tagged->staleness, 2u);
+  EXPECT_EQ(tagged->worker.result_staleness, 2u);
 }
 
 TEST(Coordinator, StatTracksAvailability) {
   engine::Cluster cluster(quiet_config(2));
   Coordinator coord(cluster);
-  coord.start();
 
   EXPECT_EQ(coord.stat().available_workers(), 2);
   const engine::TaskSpec first = int_task(cluster, 0, 0, 1);
@@ -102,13 +121,11 @@ TEST(Coordinator, StatTracksAvailability) {
   (void)coord.collect_for(1000ms);
   (void)coord.collect_for(1000ms);
   EXPECT_EQ(coord.stat().available_workers(), 2);
-  coord.stop();
 }
 
 TEST(Coordinator, StatTracksTaskTimes) {
   engine::Cluster cluster(quiet_config(1));
   Coordinator coord(cluster);
-  coord.start();
 
   const engine::TaskSpec task = int_task(cluster, 0, 0, 1, /*service_ms=*/5.0);
   coord.on_task_dispatch(0, task);
@@ -119,13 +136,11 @@ TEST(Coordinator, StatTracksTaskTimes) {
   EXPECT_EQ(snap.workers[0].tasks_completed, 1u);
   EXPECT_GE(snap.workers[0].avg_task_ms, 4.5);
   EXPECT_GE(snap.workers[0].mean_task_ms, 4.5);
-  coord.stop();
 }
 
 TEST(Coordinator, SnapshotStalenessReflectsCurrentVersion) {
   engine::Cluster cluster(quiet_config(1));
   Coordinator coord(cluster);
-  coord.start();
 
   const engine::TaskSpec task = int_task(cluster, 0, /*version=*/0, 1);
   coord.on_task_dispatch(0, task);
@@ -141,13 +156,11 @@ TEST(Coordinator, SnapshotStalenessReflectsCurrentVersion) {
   cluster.submit(0, task);
   (void)coord.collect_for(1000ms);
   EXPECT_EQ(coord.stat().max_staleness(), 0u);  // nothing in flight
-  coord.stop();
 }
 
 TEST(Coordinator, FailuresRoutedSeparately) {
   engine::Cluster cluster(quiet_config(1));
   Coordinator coord(cluster);
-  coord.start();
 
   const engine::TaskSpec task = failing_task(cluster, 0);
   coord.on_task_dispatch(0, task);
@@ -161,13 +174,11 @@ TEST(Coordinator, FailuresRoutedSeparately) {
   EXPECT_FALSE(failed->ok());
   EXPECT_EQ(coord.stat().available_workers(), 1);
   EXPECT_EQ(coord.stat().workers[0].tasks_failed, 1u);
-  coord.stop();
 }
 
 TEST(Coordinator, FifoOrderOfResults) {
   engine::Cluster cluster(quiet_config(1));
   Coordinator coord(cluster);
-  coord.start();
 
   std::vector<engine::TaskSpec> tasks;
   for (int i = 0; i < 3; ++i) tasks.push_back(int_task(cluster, i, 0, i));
@@ -178,33 +189,28 @@ TEST(Coordinator, FifoOrderOfResults) {
     ASSERT_TRUE(tagged.has_value());
     EXPECT_EQ(tagged->result.payload.get<int>(), i);  // single worker: FIFO
   }
-  coord.stop();
 }
 
 TEST(Coordinator, HasNextNonBlocking) {
   engine::Cluster cluster(quiet_config(1));
   Coordinator coord(cluster);
-  coord.start();
   EXPECT_FALSE(coord.has_next());
   const engine::TaskSpec task = int_task(cluster, 0, 0, 5);
   coord.on_task_dispatch(0, task);
   cluster.submit(0, task);
-  // Wait for the drain thread to pick it up.
   auto tagged = coord.collect_for(1000ms);
   EXPECT_TRUE(tagged.has_value());
   EXPECT_FALSE(coord.has_next());
-  coord.stop();
 }
 
-// A result is queued in the same critical section that drops its task from
-// `outstanding`, so total_outstanding() == 0 && !has_next() means nothing is
-// in flight — the pair AsyncContext::collect's deadlock guard and
-// dispatch_live read. Thousands of back-to-back single tasks with no service
-// floor keep the drain thread racing the reader.
+// A task leaves `outstanding` only when the reader takes its result off the
+// channel, so total_outstanding() == 0 && !has_next() means nothing is in
+// flight — the pair AsyncContext::collect's deadlock guard and dispatch_live
+// read. Thousands of back-to-back single tasks with no service floor keep
+// the executor racing the reader.
 TEST(Coordinator, QuietPairMeansTheResultIsAlreadyQueued) {
   engine::Cluster cluster(quiet_config(1));
   Coordinator coord(cluster);
-  coord.start();
   constexpr int kTasks = 5000;
   int early = 0;
   for (int i = 0; i < kTasks; ++i) {
@@ -228,19 +234,16 @@ TEST(Coordinator, QuietPairMeansTheResultIsAlreadyQueued) {
   }
   EXPECT_EQ(early, 0) << early << " of " << kTasks
                       << " results were still in transit when the pair read quiet";
-  coord.stop();
 }
 
 TEST(Coordinator, TotalOutstandingAggregates) {
   engine::Cluster cluster(quiet_config(3));
   Coordinator coord(cluster);
-  coord.start();
   EXPECT_EQ(coord.total_outstanding(), 0);
   coord.on_task_dispatch(0, int_task(cluster, 0, 0, 0));
   coord.on_task_dispatch(0, int_task(cluster, 1, 0, 0));
   coord.on_task_dispatch(2, int_task(cluster, 2, 0, 0));
   EXPECT_EQ(coord.total_outstanding(), 3);
-  coord.stop();
 }
 
 TEST(Coordinator, MinInflightVersionCoversOldQueuedTasks) {
@@ -249,7 +252,6 @@ TEST(Coordinator, MinInflightVersionCoversOldQueuedTasks) {
   // outstanding version, not the last dispatched one.
   engine::Cluster cluster(quiet_config(1));
   Coordinator coord(cluster);
-  coord.start();
 
   const engine::TaskSpec old_task = int_task(cluster, 0, /*version=*/0, 2);
   coord.on_task_dispatch(0, old_task);  // old task, still in flight
@@ -271,7 +273,6 @@ TEST(Coordinator, MinInflightVersionCoversOldQueuedTasks) {
   cluster.submit(0, old_task);
   ASSERT_TRUE(coord.collect_for(1000ms).has_value());
   EXPECT_EQ(coord.stat().min_inflight_version(), 5u);
-  coord.stop();
 }
 
 TEST(Coordinator, FirstResultWinsDropsReplicaDuplicates) {
@@ -280,7 +281,6 @@ TEST(Coordinator, FirstResultWinsDropsReplicaDuplicates) {
   // STAT bookkeeping, and nothing stays outstanding.
   engine::Cluster cluster(quiet_config(2));
   Coordinator coord(cluster);
-  coord.start();
 
   engine::TaskSpec original = int_task(cluster, /*p=*/3, /*version=*/0, 42);
   original.seq = 5;
@@ -299,7 +299,6 @@ TEST(Coordinator, FirstResultWinsDropsReplicaDuplicates) {
   EXPECT_FALSE(coord.collect_for(200ms).has_value());
   EXPECT_EQ(coord.duplicates_dropped(), 1u);
   EXPECT_EQ(coord.total_outstanding(), 0);
-  coord.stop();
 }
 
 TEST(Coordinator, FailureWithLiveReplicaIsNotRetried) {
@@ -309,7 +308,6 @@ TEST(Coordinator, FailureWithLiveReplicaIsNotRetried) {
   // delivered normally.
   engine::Cluster cluster(quiet_config(2));
   Coordinator coord(cluster);
-  coord.start();
 
   engine::TaskSpec original = failing_task(cluster, /*p=*/2);
   original.seq = 4;
@@ -324,15 +322,14 @@ TEST(Coordinator, FailureWithLiveReplicaIsNotRetried) {
   auto delivered = coord.collect_for(1000ms);
   ASSERT_TRUE(delivered.has_value());
   EXPECT_EQ(delivered->result.payload.get<int>(), 11);
-  // The losing copy may still be in the drain pipeline; wait for its
+  // The losing copy may not have reached the channel yet; wait for its
   // bookkeeping before asserting on it.
   for (int i = 0; i < 1000 && coord.total_outstanding() > 0; ++i) {
-    std::this_thread::sleep_for(1ms);
+    if (!coord.has_next()) std::this_thread::sleep_for(1ms);
   }
   EXPECT_FALSE(coord.try_collect_failure().has_value());
   EXPECT_EQ(coord.duplicates_dropped(), 1u);
   EXPECT_EQ(coord.total_outstanding(), 0);
-  coord.stop();
 }
 
 TEST(Coordinator, ReplicaRegistrationFailsOnceResultAccounted) {
@@ -341,7 +338,6 @@ TEST(Coordinator, ReplicaRegistrationFailsOnceResultAccounted) {
   // collected), registering a replica would deliver the identity twice.
   engine::Cluster cluster(quiet_config(2));
   Coordinator coord(cluster);
-  coord.start();
 
   engine::TaskSpec spec = int_task(cluster, /*p=*/1, /*version=*/0, 7);
   spec.seq = 9;
@@ -352,7 +348,6 @@ TEST(Coordinator, ReplicaRegistrationFailsOnceResultAccounted) {
 
   EXPECT_FALSE(coord.try_register_replica(1, replica));
   EXPECT_EQ(coord.total_outstanding(), 0);
-  coord.stop();
 }
 
 TEST(Coordinator, DispatchAbortUnwindsRegistration) {
@@ -362,7 +357,6 @@ TEST(Coordinator, DispatchAbortUnwindsRegistration) {
   // GC bound — or the phantom task pins them all forever.
   engine::Cluster cluster(quiet_config(1));
   Coordinator coord(cluster);
-  coord.start();
 
   engine::TaskSpec spec = int_task(cluster, /*p=*/0, /*version=*/0, 3);
   spec.seq = 2;
@@ -374,7 +368,6 @@ TEST(Coordinator, DispatchAbortUnwindsRegistration) {
   EXPECT_EQ(coord.total_outstanding(), 0);
   EXPECT_EQ(coord.stat().available_workers(), 1);
   EXPECT_EQ(coord.stat().min_inflight_version(), 0u);  // back to the present
-  coord.stop();
 }
 
 TEST(Coordinator, RetryAfterAbortedDispatchStillDelivers) {
@@ -384,7 +377,6 @@ TEST(Coordinator, RetryAfterAbortedDispatchStillDelivers) {
   // genuine result still delivers exactly once.
   engine::Cluster cluster(quiet_config(2));
   Coordinator coord(cluster);
-  coord.start();
 
   engine::TaskSpec spec = int_task(cluster, /*p=*/0, /*version=*/0, 3);
   spec.seq = 6;
@@ -401,16 +393,6 @@ TEST(Coordinator, RetryAfterAbortedDispatchStillDelivers) {
   EXPECT_EQ(delivered->result.payload.get<int>(), 8);
   EXPECT_EQ(delivered->worker.id, 1);
   EXPECT_EQ(coord.total_outstanding(), 0);
-  coord.stop();
-}
-
-TEST(Coordinator, StopIsIdempotent) {
-  engine::Cluster cluster(quiet_config(1));
-  Coordinator coord(cluster);
-  coord.start();
-  coord.stop();
-  coord.stop();
-  EXPECT_TRUE(coord.stopped());
 }
 
 }  // namespace

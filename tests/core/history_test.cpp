@@ -14,8 +14,8 @@ TEST(ModelStoreHistory, PublishAndResolve) {
   history.publish(linalg::DenseVector{3.0, 4.0}, /*version=*/1);
 
   EXPECT_EQ(history.size(), 2u);
-  EXPECT_DOUBLE_EQ(history.value_at(0)[1], 2.0);
-  EXPECT_DOUBLE_EQ(history.value_at(1)[0], 3.0);
+  EXPECT_DOUBLE_EQ((*history.value_at(0))[1], 2.0);
+  EXPECT_DOUBLE_EQ((*history.value_at(1))[0], 3.0);
 }
 
 TEST(ModelStoreHistory, IdOfUnknownVersionIsNull) {
@@ -80,9 +80,9 @@ TEST(ModelStoreHistory, PublishResolveGcStorm) {
       published.erase(published.begin(), published.lower_bound(floor));
     }
     for (const auto& [q, want] : published) {
-      const linalg::DenseVector& got = history.value_at(q);
+      const auto got = history.value_at(q);
       for (std::size_t i = 0; i < dim; ++i) {
-        ASSERT_EQ(got[i], want[i]) << "v=" << q << " i=" << i;
+        ASSERT_EQ((*got)[i], want[i]) << "v=" << q << " i=" << i;
       }
     }
   }
@@ -98,9 +98,9 @@ TEST(HistoryBroadcast, PinnedValueAndHistoricalValue) {
   const HistoryBroadcast handle(history, /*pinned=*/2);
   EXPECT_TRUE(handle.valid());
   EXPECT_EQ(handle.version(), 2u);
-  EXPECT_DOUBLE_EQ(handle.value()[0], 2.0);        // w_br.value
-  EXPECT_DOUBLE_EQ(handle.value_at(0)[0], 0.0);    // w_br.value(index) history
-  EXPECT_DOUBLE_EQ(handle.value_at(1)[0], 1.0);
+  EXPECT_DOUBLE_EQ((*handle.value())[0], 2.0);       // w_br.value
+  EXPECT_DOUBLE_EQ((*handle.value_at(0))[0], 0.0);   // w_br.value(index) history
+  EXPECT_DOUBLE_EQ((*handle.value_at(1))[0], 1.0);
 }
 
 TEST(HistoryBroadcast, DefaultHandleInvalid) {

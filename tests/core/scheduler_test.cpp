@@ -89,7 +89,6 @@ TEST(Scheduler, StealingComposesWithBarrierAndConservesInvariants) {
   engine::Cluster cluster(steal_config(
       kWorkers, kCores, std::make_shared<straggler::ControlledDelay>(0, 3.0)));
   Coordinator coordinator(cluster);
-  coordinator.start();
   AsyncScheduler scheduler(cluster, coordinator);
   scheduler.set_num_partitions(kPartitions);
   SchedulerPolicy policy;
@@ -127,7 +126,6 @@ TEST(Scheduler, StealingComposesWithBarrierAndConservesInvariants) {
   }
   EXPECT_EQ(scheduler.busy_partitions(), 0);
   EXPECT_EQ(coordinator.total_outstanding(), 0);
-  coordinator.stop();
 }
 
 TEST(Scheduler, NoStealsOnHealthyCluster) {
@@ -137,7 +135,6 @@ TEST(Scheduler, NoStealsOnHealthyCluster) {
   constexpr int kPartitions = 8;
   engine::Cluster cluster(steal_config(kWorkers, 2, nullptr));
   Coordinator coordinator(cluster);
-  coordinator.start();
   AsyncScheduler scheduler(cluster, coordinator);
   scheduler.set_num_partitions(kPartitions);
   SchedulerPolicy policy;
@@ -163,7 +160,6 @@ TEST(Scheduler, NoStealsOnHealthyCluster) {
   for (int w = 0; w < kWorkers; ++w) {
     EXPECT_EQ(scheduler.partitions_of(w), initial[static_cast<std::size_t>(w)]);
   }
-  coordinator.stop();
 }
 
 }  // namespace

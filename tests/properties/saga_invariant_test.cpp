@@ -102,8 +102,8 @@ TEST_P(SagaInvariants, VersionTableConsistentAndAlphaBarExact) {
   // Invariant 3: the history store resolves every referenced version to the
   // exact published parameter vector.
   for (std::size_t v = 0; v < published.size(); ++v) {
-    const linalg::DenseVector& resolved = ac.history().value_at(v);
-    EXPECT_LT(linalg::max_abs_diff(resolved.span(), published[v].span()), 1e-15);
+    const auto resolved = ac.history().value_at(v);
+    EXPECT_LT(linalg::max_abs_diff(resolved->span(), published[v].span()), 1e-15);
   }
 }
 

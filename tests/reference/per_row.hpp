@@ -35,8 +35,8 @@ template <typename Handle>
   return [loss = std::move(loss), w_br, grad_cfg](GradCount acc,
                                                   const data::LabeledPoint& p) {
     acc.grad.ensure(grad_cfg);
-    const linalg::DenseVector& w = w_br.value();
-    const double coeff = loss->derivative(p.features.dot(w.span()), p.label);
+    const auto w = detail::hold(w_br.value());
+    const double coeff = loss->derivative(p.features.dot(w->span()), p.label);
     p.features.axpy_into(coeff, acc.grad);
     acc.count += 1;
     return acc;
@@ -55,14 +55,14 @@ template <typename Handle>
              GradHist acc, const data::LabeledPoint& p) {
     acc.grad.ensure(grad_cfg);
     acc.hist.ensure(grad_cfg);
-    const linalg::DenseVector& w_new = w_br.value();
-    const double coeff_new = loss->derivative(p.features.dot(w_new.span()), p.label);
+    const auto w_new = w_br.value();
+    const double coeff_new = loss->derivative(p.features.dot(w_new->span()), p.label);
     p.features.axpy_into(coeff_new, acc.grad);
 
     const engine::Version last = table->get(p.index);
     if (last != core::kNeverVisited) {
-      const linalg::DenseVector& w_old = w_br.value_at(last);
-      const double coeff_old = loss->derivative(p.features.dot(w_old.span()), p.label);
+      const auto w_old = w_br.value_at(last);
+      const double coeff_old = loss->derivative(p.features.dot(w_old->span()), p.label);
       p.features.axpy_into(coeff_old, acc.hist);
     }
     table->set(p.index, w_br.version());
@@ -81,12 +81,12 @@ template <typename Handle>
              GradHist acc, const data::LabeledPoint& p) {
     acc.grad.ensure(grad_cfg);
     acc.hist.ensure(grad_cfg);
-    const linalg::DenseVector& w = w_br.value();
-    const double coeff = loss->derivative(p.features.dot(w.span()), p.label);
+    const auto w = w_br.value();
+    const double coeff = loss->derivative(p.features.dot(w->span()), p.label);
     p.features.axpy_into(coeff, acc.grad);
 
-    const linalg::DenseVector& snap = snapshot_br.value();
-    const double coeff_snap = loss->derivative(p.features.dot(snap.span()), p.label);
+    const auto snap = snapshot_br.value();
+    const double coeff_snap = loss->derivative(p.features.dot(snap->span()), p.label);
     p.features.axpy_into(coeff_snap, acc.hist);
     acc.count += 1;
     return acc;

@@ -51,17 +51,27 @@ TEST_P(DeltaDensitySweep, ChainResolutionEqualsDirectlyPublishedModel) {
   // bit: deltas carry assignments, so a chain never rounds.
   VersionedModelCache& cache = store.cache_for(0, &bcache, &metrics);
   for (engine::Version v = kVersions; v-- > 0;) {
-    EXPECT_TRUE(linalg::bitwise_equal(cache.value_at(v), golden[v]))
+    EXPECT_TRUE(linalg::bitwise_equal(*cache.value_at(v), golden[v]))
         << "version " << v << " at density " << update_density;
   }
   for (engine::Version v = 0; v < kVersions; ++v) {
-    EXPECT_TRUE(linalg::bitwise_equal(cache.value_at(v), golden[v])) << "version " << v;
+    EXPECT_TRUE(linalg::bitwise_equal(*cache.value_at(v), golden[v])) << "version " << v;
+  }
+
+  // A fresh worker cache, oldest first, dropping each handle before the next
+  // resolve: every v−1 → v step may advance the cache's own v−1 in place.
+  engine::ClusterMetrics fresh_metrics(1);
+  engine::BroadcastCache fresh_bcache(&broadcasts, &net, &fresh_metrics);
+  VersionedModelCache& fresh = store.cache_for(1, &fresh_bcache, &fresh_metrics);
+  for (engine::Version v = 0; v < kVersions; ++v) {
+    EXPECT_TRUE(linalg::bitwise_equal(*fresh.value_at(v), golden[v]))
+        << "version " << v << " at density " << update_density;
   }
 
   // The driver-side cache resolves identically, without wire traffic.
   const std::uint64_t bytes = metrics.broadcast_bytes.load();
   for (engine::Version v = 0; v < kVersions; v += 7) {
-    EXPECT_TRUE(linalg::bitwise_equal(store.driver_cache().value_at(v), golden[v]));
+    EXPECT_TRUE(linalg::bitwise_equal(*store.driver_cache().value_at(v), golden[v]));
   }
   EXPECT_EQ(metrics.broadcast_bytes.load(), bytes);
 }

@@ -350,14 +350,14 @@ TEST(DiskTierModelStore, RestoreServesHistoryWithoutReplay) {
   store.restore_from_manifest(st.shards.at(0), floor, /*anchor=*/5);
 
   ASSERT_TRUE(store.entry_of(5).has_value());
-  const auto& w5 = store.driver_cache().value_at(5);
-  EXPECT_EQ(linalg::max_abs_diff({w5.data(), w5.size()},
+  const auto w5 = store.driver_cache().value_at(5);
+  EXPECT_EQ(linalg::max_abs_diff({w5->data(), w5->size()},
                                  {models[5].data(), models[5].size()}),
             0.0);
   EXPECT_GE(tier->metrics().faulted_in.load(), 1u);
   // Earlier history resolves too — no update replay anywhere.
-  const auto& w3 = store.driver_cache().value_at(3);
-  EXPECT_EQ(linalg::max_abs_diff({w3.data(), w3.size()},
+  const auto w3 = store.driver_cache().value_at(3);
+  EXPECT_EQ(linalg::max_abs_diff({w3->data(), w3->size()},
                                  {models[3].data(), models[3].size()}),
             0.0);
 }
@@ -398,16 +398,16 @@ TEST(DiskTierModelStore, QuarantinedBlobFallsBackToNearestIntactAncestor) {
   // v5's chain runs through the rotted v4 delta: resolution must not crash
   // and must degrade to the nearest intact ancestor (v3), re-published as a
   // fresh base under v5.
-  const auto& w5 = store.driver_cache().value_at(5);
-  EXPECT_EQ(linalg::max_abs_diff({w5.data(), w5.size()},
+  const auto w5 = store.driver_cache().value_at(5);
+  EXPECT_EQ(linalg::max_abs_diff({w5->data(), w5->size()},
                                  {models[3].data(), models[3].size()}),
             0.0);
   EXPECT_GE(tier->metrics().quarantines.load(), 1u);
   EXPECT_GE(tier->metrics().bases_republished.load(), 1u);
   EXPECT_GE(tier->metrics().recovery_walks.load(), 1u);
   // Versions before the rot are untouched.
-  const auto& w2 = store.driver_cache().value_at(2);
-  EXPECT_EQ(linalg::max_abs_diff({w2.data(), w2.size()},
+  const auto w2 = store.driver_cache().value_at(2);
+  EXPECT_EQ(linalg::max_abs_diff({w2->data(), w2->size()},
                                  {models[2].data(), models[2].size()}),
             0.0);
 }
@@ -435,8 +435,8 @@ TEST(DiskTierModelStore, GcAfterRestoreNeverUnlinksTheAnchor) {
   store.gc_below(1000);
   ASSERT_TRUE(store.entry_of(5).has_value()) << "anchor was collected";
   EXPECT_EQ(store.restore_anchor(), std::optional<engine::Version>(5));
-  const auto& w5 = store.driver_cache().value_at(5);
-  EXPECT_EQ(linalg::max_abs_diff({w5.data(), w5.size()},
+  const auto w5 = store.driver_cache().value_at(5);
+  EXPECT_EQ(linalg::max_abs_diff({w5->data(), w5->size()},
                                  {models[5].data(), models[5].size()}),
             0.0);
 
@@ -447,8 +447,8 @@ TEST(DiskTierModelStore, GcAfterRestoreNeverUnlinksTheAnchor) {
   EXPECT_EQ(store.restore_anchor(), std::nullopt);
   store.gc_below(6);
   EXPECT_FALSE(store.entry_of(5).has_value());
-  const auto& w6 = store.driver_cache().value_at(6);
-  EXPECT_EQ(linalg::max_abs_diff({w6.data(), w6.size()},
+  const auto w6 = store.driver_cache().value_at(6);
+  EXPECT_EQ(linalg::max_abs_diff({w6->data(), w6->size()},
                                  {next.data(), next.size()}),
             0.0);
 }

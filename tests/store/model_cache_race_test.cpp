@@ -95,8 +95,8 @@ TEST(VersionedModelCacheRace, ResolversRacePublishRepublishAndGc) {
       const engine::Version u = lo + rng.next_below(s - lo + 1);
       pin.store(u);
       if (u >= announced.load()) {
-        const linalg::DenseVector& got = cache.value_at(u);
-        if (!linalg::bitwise_equal(got, history.last[u])) mismatches.fetch_add(1);
+        const auto got = cache.value_at(u);
+        if (!linalg::bitwise_equal(*got, history.last[u])) mismatches.fetch_add(1);
         reads[static_cast<std::size_t>(id)].fetch_add(1);
       }
       pin.store(kNoPin);
@@ -132,8 +132,53 @@ TEST(VersionedModelCacheRace, ResolversRacePublishRepublishAndGc) {
   store.gc_below(kVersions - kWindow);
   EXPECT_EQ(store.gc_floor(), kVersions - kWindow);
   EXPECT_FALSE(cache.contains(kVersions - kWindow - 1));
-  EXPECT_TRUE(linalg::bitwise_equal(cache.value_at(kVersions - 1),
+  EXPECT_TRUE(linalg::bitwise_equal(*cache.value_at(kVersions - 1),
                                     history.last[kVersions - 1]));
+}
+
+TEST(VersionedModelCacheRace, HeldHandleKeepsItsBitsWhileTheCacheAdvances) {
+  // Thread A holds v's handle and re-reads it while thread B resolves
+  // v+1 … v+k on the same worker cache, dropping each handle as it goes —
+  // so from v+2 on every step advances the cache's own v+i−1 in place. A's
+  // model must keep its bits, and B must read the published models.
+  const History history;
+  engine::BroadcastStore broadcasts;
+  engine::NetworkModel net;
+  net.time_scale = 0.0;
+  engine::ClusterMetrics metrics(1);
+  engine::BroadcastCache bcache(&broadcasts, &net, &metrics);
+  ModelStore store(&broadcasts);
+  for (engine::Version v = 0; v < kVersions; ++v) store.publish(history.last[v], v);
+  VersionedModelCache& cache = store.cache_for(0, &bcache, &metrics);
+
+  constexpr engine::Version kHeld = 1;  // a chain resolve: the cache's own copy
+  std::atomic<bool> reading{false};
+  std::atomic<bool> done{false};
+  std::atomic<int> held_mismatches{0};
+  std::thread a([&, held = cache.value_at(kHeld)] {
+    reading.store(true);
+    bool last_pass = false;
+    while (!last_pass) {
+      last_pass = done.load();
+      if (!linalg::bitwise_equal(*held, history.last[kHeld])) {
+        held_mismatches.fetch_add(1);
+      }
+    }
+  });
+  int mismatches = 0;
+  std::thread b([&] {
+    while (!reading.load()) std::this_thread::yield();
+    for (engine::Version v = kHeld + 1; v < kVersions; ++v) {
+      if (!linalg::bitwise_equal(*cache.value_at(v), history.last[v])) ++mismatches;
+    }
+  });
+  b.join();
+  done.store(true);
+  a.join();
+
+  EXPECT_EQ(held_mismatches.load(), 0);
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_TRUE(cache.contains(kHeld));  // held, so copied rather than taken
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "store/model_store.hpp"
 
 namespace asyncml::store {
@@ -37,9 +40,9 @@ linalg::DenseVector publish_chain(ModelStore& store, std::size_t dim,
 TEST(VersionedModelCache, ChainResolutionMatchesPublishedModel) {
   CacheFixture fx;
   const linalg::DenseVector w = publish_chain(fx.store, 8, 5);
-  const linalg::DenseVector& resolved = fx.worker_cache().value_at(4);
-  ASSERT_EQ(resolved.size(), w.size());
-  for (std::size_t i = 0; i < w.size(); ++i) EXPECT_EQ(resolved[i], w[i]);
+  const auto resolved = fx.worker_cache().value_at(4);
+  ASSERT_EQ(resolved->size(), w.size());
+  for (std::size_t i = 0; i < w.size(); ++i) EXPECT_EQ((*resolved)[i], w[i]);
 }
 
 TEST(VersionedModelCache, MissChargesExactlyTheChainWireBytes) {
@@ -96,7 +99,9 @@ TEST(VersionedModelCache, ThousandsOfCachedVersionsStillAnchorOnNearestAncestor)
   constexpr engine::Version kCached = 4096;
   (void)publish_chain(fx.store, 64, kCached + 3);
   VersionedModelCache& crowded = fx.worker_cache();
-  for (engine::Version v = 0; v < kCached; ++v) (void)crowded.value_at(v);
+  // Held, so no resolve advances its anchor in place.
+  std::vector<std::shared_ptr<const linalg::DenseVector>> held;
+  for (engine::Version v = 0; v < kCached; ++v) held.push_back(crowded.value_at(v));
   ASSERT_EQ(crowded.size(), kCached);
 
   // Reference: a second worker whose cache holds only the ancestor (plus
@@ -109,9 +114,9 @@ TEST(VersionedModelCache, ThousandsOfCachedVersionsStillAnchorOnNearestAncestor)
 
   const std::uint64_t crowded_before = fx.metrics.broadcast_bytes.load();
   const std::uint64_t lone_before = lone_metrics.broadcast_bytes.load();
-  const linalg::DenseVector& a = crowded.value_at(kCached + 2);
-  const linalg::DenseVector& b = lone.value_at(kCached + 2);
-  EXPECT_TRUE(linalg::bitwise_equal(a, b));
+  const auto a = crowded.value_at(kCached + 2);
+  const auto b = lone.value_at(kCached + 2);
+  EXPECT_TRUE(linalg::bitwise_equal(*a, *b));
 
   // Both anchor on kCached - 1 and fetch exactly the three deltas above it.
   std::uint64_t expected = 0;
@@ -127,10 +132,48 @@ TEST(VersionedModelCache, ResolvingBaseVersionAliasesWithoutCopy) {
   CacheFixture fx;
   (void)publish_chain(fx.store, 8, 1);
   VersionedModelCache& cache = fx.worker_cache();
-  const linalg::DenseVector& resolved = cache.value_at(0);
+  const auto resolved = cache.value_at(0);
   // The materialized base is the broadcast payload itself (zero copy).
   const engine::Payload payload = fx.broadcasts.get(fx.store.entry_of(0)->base_id);
-  EXPECT_EQ(&resolved, &payload.get<linalg::DenseVector>());
+  EXPECT_EQ(resolved.get(), &payload.get<linalg::DenseVector>());
+}
+
+TEST(VersionedModelCache, UnheldAncestorAdvancesInPlace) {
+  CacheFixture fx;
+  const linalg::DenseVector w = publish_chain(fx.store, 8, 6);  // base 0, deltas 1..5
+  VersionedModelCache& cache = fx.worker_cache();
+  // v4 is this cache's own materialization; its handle dies here.
+  const double* buffer = cache.value_at(4)->data();
+
+  const auto v5 = cache.value_at(5);
+  EXPECT_FALSE(cache.contains(4));  // taken out of the map...
+  EXPECT_EQ(v5->data(), buffer);    // ...and advanced to v5 in its own buffer
+  EXPECT_TRUE(linalg::bitwise_equal(*v5, w));
+}
+
+TEST(VersionedModelCache, HeldAncestorOrBaseAliasIsCopiedNotAdvanced) {
+  CacheFixture fx;
+  const linalg::DenseVector w = publish_chain(fx.store, 8, 6);
+  VersionedModelCache& cache = fx.worker_cache();
+  const auto v4 = cache.value_at(4);
+  const linalg::DenseVector v4_bits = *v4;
+
+  const auto v5 = cache.value_at(5);  // v4 is held: copy it
+  EXPECT_TRUE(cache.contains(4));
+  EXPECT_NE(v5->data(), v4->data());
+  EXPECT_TRUE(linalg::bitwise_equal(*v4, v4_bits));
+  EXPECT_TRUE(linalg::bitwise_equal(*v5, w));
+
+  // A base aliases the broadcast payload: even unheld, it is never written.
+  engine::ClusterMetrics metrics2(1);
+  engine::BroadcastCache bcache2(&fx.broadcasts, &fx.net, &metrics2);
+  VersionedModelCache& other = fx.store.cache_for(1, &bcache2, &metrics2);
+  const linalg::DenseVector base = *other.value_at(0);
+  const double* alias = other.value_at(0)->data();
+  const auto v1 = other.value_at(1);
+  EXPECT_TRUE(other.contains(0));
+  EXPECT_NE(v1->data(), alias);
+  EXPECT_TRUE(linalg::bitwise_equal(*other.value_at(0), base));
 }
 
 TEST(VersionedModelCache, GcDropsMaterializedVersionsAndPayloads) {
@@ -193,8 +236,8 @@ TEST(VersionedModelCache, StaleWorkerAnchorsOnBaseWhenChainCostsMore) {
 TEST(VersionedModelCache, DriverCacheResolvesWithoutCharging) {
   CacheFixture fx;
   const linalg::DenseVector w = publish_chain(fx.store, 8, 5);
-  const linalg::DenseVector& resolved = fx.store.driver_cache().value_at(4);
-  for (std::size_t i = 0; i < w.size(); ++i) EXPECT_EQ(resolved[i], w[i]);
+  const auto resolved = fx.store.driver_cache().value_at(4);
+  for (std::size_t i = 0; i < w.size(); ++i) EXPECT_EQ((*resolved)[i], w[i]);
   EXPECT_EQ(fx.metrics.broadcast_bytes.load(), 0u);
   EXPECT_EQ(fx.metrics.broadcast_fetches.load(), 0u);
 }

@@ -113,7 +113,7 @@ TEST(ModelStore, DensifyingPublishKeepsEntryAndStatsShape) {
   EXPECT_EQ(stats.base_bytes_published, 2u * 31u * sizeof(double));
   EXPECT_EQ(stats.delta_bytes_published, 20u + (8u + 20u * 12u) + 20u);
   EXPECT_EQ(stats.compactions, 0u);
-  EXPECT_TRUE(linalg::bitwise_equal(store.driver_cache().value_at(4), w));
+  EXPECT_TRUE(linalg::bitwise_equal(*store.driver_cache().value_at(4), w));
 }
 
 TEST(ModelStore, BaseIntervalBoundsChainLength) {
@@ -181,7 +181,7 @@ TEST(ModelStore, RepublishChangedModelReplacesEntryWithFreshBase) {
   EXPECT_FALSE(entry->has_delta());
   EXPECT_NE(entry->base_id, first);
   EXPECT_FALSE(broadcasts.get(first).has_value());
-  EXPECT_DOUBLE_EQ(store.driver_cache().value_at(0)[2], 9.0);
+  EXPECT_DOUBLE_EQ((*store.driver_cache().value_at(0))[2], 9.0);
   EXPECT_EQ(store.size(), 1u);
 }
 
@@ -226,9 +226,9 @@ TEST(ModelStore, GcRebasesOldestRetainedDeltaOntoFreshBase) {
   EXPECT_FALSE(rebased->has_delta());  // its parent is gone
   EXPECT_EQ(store.stats().compactions, 1u);
   // Later versions still resolve through the rebased chain, bit-for-bit.
-  const linalg::DenseVector& resolved = store.driver_cache().value_at(5);
+  const auto resolved = store.driver_cache().value_at(5);
   for (std::size_t i = 0; i < 6; ++i) {
-    EXPECT_DOUBLE_EQ(resolved[i], static_cast<double>(i + 1));
+    EXPECT_DOUBLE_EQ((*resolved)[i], static_cast<double>(i + 1));
   }
   EXPECT_EQ(store.entry_of(4)->kind, EntryKind::kDelta);  // untouched tail
 }
@@ -306,7 +306,7 @@ class PublishDiff : public ::testing::Test {
   void expect_chain_bitwise() {
     VersionedModelCache& cache = store_.cache_for(0, &bcache_, &metrics_);
     for (engine::Version v = 0; v < published_.size(); ++v) {
-      EXPECT_TRUE(linalg::bitwise_equal(cache.value_at(v), published_[v])) << "version " << v;
+      EXPECT_TRUE(linalg::bitwise_equal(*cache.value_at(v), published_[v])) << "version " << v;
     }
   }
 
