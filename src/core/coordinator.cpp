@@ -83,9 +83,7 @@ std::optional<TaggedResult> Coordinator::take_next() {
   ready_.pop_front();
   const engine::Version version = tagged.result.model_version;
   tagged.staleness = version_ >= version ? version_ - version : 0;
-  WorkerStat& row = tagged.worker;
-  row.result_staleness = version_ - row.last_result_version;
-  row.task_staleness = row.ever_dispatched ? version_ - row.last_dispatch_version : 0;
+  fill_staleness(tagged.worker);
   // Telemetry staleness uses the same definition, one record per collected
   // result.
   if (cluster_.telemetry().enabled()) {
@@ -146,15 +144,16 @@ StatSnapshot Coordinator::stat() const {
   StatSnapshot snap;
   snap.current_version = current_version();
   snap.workers = stats_;
-  for (WorkerStat& row : snap.workers) {
-    // Staleness fields are derived at snapshot time so they reflect the
-    // *current* version, not the version when the row last changed.
-    row.result_staleness =
-        row.tasks_completed > 0 ? snap.current_version - row.last_result_version : 0;
-    row.task_staleness =
-        row.ever_dispatched ? snap.current_version - row.last_dispatch_version : 0;
-  }
+  // Staleness fields are derived at snapshot time so they reflect the
+  // *current* version, not the version when the row last changed.
+  for (WorkerStat& row : snap.workers) fill_staleness(row);
   return snap;
+}
+
+void Coordinator::fill_staleness(WorkerStat& row) const {
+  row.result_staleness =
+      row.tasks_completed > 0 ? version_ - row.last_result_version : 0;
+  row.task_staleness = row.ever_dispatched ? version_ - row.last_dispatch_version : 0;
 }
 
 bool Coordinator::has_next() {

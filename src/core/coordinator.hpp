@@ -164,6 +164,8 @@ class Coordinator {
   /// Refreshes `row.min_outstanding_version` from the in-flight version
   /// multiset.
   void fill_min_outstanding(WorkerStat& row) const;
+  /// Derives a row snapshot's staleness fields from the current version.
+  void fill_staleness(WorkerStat& row) const;
 
   engine::Cluster& cluster_;
   engine::Version version_ = 0;
