@@ -4,9 +4,9 @@
 //
 //   * blob write / read ns per payload (header + CRC + sha256 + file I/O,
 //     fsync off so the content pipeline is what's measured, not the device);
-//   * checkpoint file size, v3 pointer vs the self-contained v2 snapshot —
-//     the v3 payload lives in the blob store, deduped against published
-//     bases, so the pointer is O(1) regardless of model dimension;
+//   * checkpoint size: a self-contained checkpoint's directory (one manifest
+//     record and its blobs, summed) vs the pointer file that names it — the
+//     pointer is O(1) regardless of model dimension;
 //   * cold-restore wall time: manifest replay + restore_from_manifest + the
 //     lazy chain walk that faults one full delta chain in from disk — the
 //     restart-without-replay path a rejoining coordinator pays once.
@@ -65,7 +65,7 @@ linalg::DenseVector make_model(std::size_t dim, std::uint64_t salt) {
 int main() {
   bench::banner("Micro: durable disk tier — blob I/O, checkpoint size, cold restore",
                 "durability is write-through after commit: blob costs are off the "
-                "update path, a v3 checkpoint is an O(1) pointer, and a restart "
+                "update path, a checkpoint file is an O(1) pointer, and a restart "
                 "anchors on the manifest instead of replaying updates");
 
   constexpr std::size_t kDim = 16384;   // 128 KiB payloads
@@ -115,12 +115,9 @@ int main() {
   }
   fs::remove_all(io_dir);
 
-  // -- checkpoint size: v3 pointer vs v2 snapshot ----------------------------
+  // -- checkpoint size: self-contained directory vs its pointer --------------
   const std::string ck_dir = scratch_dir("disk_ckpt");
   {
-    auto tier = store::disk::DiskTier::open(tier_config(ck_dir),
-                                            store::disk::OpenMode::kFresh)
-                    .value();
     optim::SolverCheckpoint cp;
     cp.update_index = 100;
     cp.model_version = 100;
@@ -128,31 +125,27 @@ int main() {
     cp.model = make_model(kDim, 1);
     cp.counters["tasks_completed"] = 400;
 
-    const std::string v2_path = ck_dir + "/ckpt_v2";
-    if (!optim::save_checkpoint(v2_path, cp).is_ok()) std::abort();
+    fs::create_directories(ck_dir);
+    const std::string path = ck_dir + "/ckpt";
+    if (!optim::save_checkpoint(path, cp).is_ok()) std::abort();
+    const auto loaded = optim::load_checkpoint(path);
+    if (!loaded.is_ok()) std::abort();
 
-    store::disk::CheckpointRecord rec;
-    rec.update_index = cp.update_index;
-    rec.model_version = cp.model_version;
-    rec.round = cp.round;
-    rec.counters.assign(cp.counters.begin(), cp.counters.end());
-    if (!tier->checkpoint(rec, payload_of(cp.model), {}).is_ok()) std::abort();
-    const std::string v3_path = ck_dir + "/ckpt_v3";
-    if (!optim::save_checkpoint_v3(v3_path, tier->dir(), cp.update_index).is_ok()) {
-      std::abort();
+    double dir_bytes = 0.0;
+    for (const auto& entry : fs::recursive_directory_iterator(loaded.value().store_dir)) {
+      if (entry.is_regular_file()) dir_bytes += static_cast<double>(entry.file_size());
     }
-
-    const double v2_bytes = static_cast<double>(fs::file_size(v2_path));
-    const double v3_bytes = static_cast<double>(fs::file_size(v3_path));
-    table.add_row({"checkpoint bytes (v2 self-contained)",
-                   std::to_string(static_cast<long long>(v2_bytes))});
-    table.add_row({"checkpoint bytes (v3 pointer)",
-                   std::to_string(static_cast<long long>(v3_bytes))});
-    json.emplace_back("micro_disk_store.ckpt.v2_bytes", v2_bytes);
-    json.emplace_back("micro_disk_store.ckpt.v3_bytes", v3_bytes);
-    json.emplace_back("micro_disk_store.ckpt.v2_over_v3", v2_bytes / v3_bytes);
+    const double pointer_bytes = static_cast<double>(fs::file_size(path));
+    table.add_row({"checkpoint bytes (self-contained directory)",
+                   std::to_string(static_cast<long long>(dir_bytes))});
+    table.add_row({"checkpoint bytes (pointer)",
+                   std::to_string(static_cast<long long>(pointer_bytes))});
+    json.emplace_back("micro_disk_store.ckpt.dir_bytes", dir_bytes);
+    json.emplace_back("micro_disk_store.ckpt.pointer_bytes", pointer_bytes);
+    json.emplace_back("micro_disk_store.ckpt.dir_over_pointer",
+                      dir_bytes / pointer_bytes);
     std::ostringstream os;
-    os << "ckpt_bytes," << v2_bytes << ',' << v3_bytes;
+    os << "ckpt_bytes," << dir_bytes << ',' << pointer_bytes;
     rows.push_back(os.str());
   }
   fs::remove_all(ck_dir);
@@ -209,9 +202,9 @@ int main() {
   bench::update_bench_json(json);
   std::cout << "\n";
   table.print(std::cout);
-  std::cout << "\nshape check: the v3 pointer stays O(1) while v2 scales with "
-               "dim; cold restore is a manifest replay plus one chain "
-               "fault-in — milliseconds, independent of how many updates the "
-               "killed run had executed.\n";
+  std::cout << "\nshape check: the pointer stays O(1) while the directory it "
+               "names scales with dim; cold restore is a manifest replay plus "
+               "one chain fault-in — milliseconds, independent of how many "
+               "updates the killed run had executed.\n";
   return 0;
 }

@@ -1,14 +1,17 @@
 #include "optim/checkpoint.hpp"
 
+#include <array>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
-#include <new>
-#include <sstream>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "engine/payload.hpp"
 #include "store/disk/blob_store.hpp"
+#include "store/disk/disk_tier.hpp"
 #include "store/disk/manifest.hpp"
 #include "store/store_config.hpp"
 #include "support/file_io.hpp"
@@ -16,122 +19,77 @@
 
 namespace asyncml::optim {
 
+namespace fs = std::filesystem;
 using support::Status;
 using support::StatusCode;
 using support::StatusOr;
 
 namespace {
 
-constexpr char kMagicV2[8] = {'A', 'M', 'L', 'C', 'K', 'P', 'T', '2'};
-constexpr char kMagicV3[8] = {'A', 'M', 'L', 'C', 'K', 'P', 'T', '3'};
+constexpr char kMagic[8] = {'A', 'M', 'L', 'C', 'K', 'P', 'T', '3'};
+constexpr std::uint32_t kMaxDirBytes = 4096;
 
-void write_u32(std::ostream& out, std::uint32_t v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void write_u64(std::ostream& out, std::uint64_t v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-bool read_u32(std::istream& in, std::uint32_t& v) {
-  return static_cast<bool>(in.read(reinterpret_cast<char*>(&v), sizeof(v)));
-}
-bool read_u64(std::istream& in, std::uint64_t& v) {
+template <typename T>
+bool read_raw(std::istream& in, T& v) {
   return static_cast<bool>(in.read(reinterpret_cast<char*>(&v), sizeof(v)));
 }
 
-void write_name(std::ostream& out, const std::string& name) {
-  write_u32(out, static_cast<std::uint32_t>(name.size()));
-  out.write(name.data(), static_cast<std::streamsize>(name.size()));
+template <typename T>
+void append_raw(std::string& out, const T& v) {
+  out.append(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 
-void write_vector(std::ostream& out, const std::string& name,
-                  const linalg::DenseVector& v) {
-  write_name(out, name);
-  write_u64(out, v.size());
-  out.write(reinterpret_cast<const char*>(v.data()),
-            static_cast<std::streamsize>(v.size_bytes()));
+/// The directory the pointer at `path` names. Its advisory update index is
+/// read only to check the pointer is whole: the loader trusts the manifest.
+StatusOr<std::string> read_pointer(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return Status(StatusCode::kNotFound, "checkpoint: cannot open " + path);
+  char magic[sizeof(kMagic)] = {};
+  if (!in.read(magic, sizeof(magic)) || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
+    return Status(StatusCode::kInvalidArgument, "checkpoint: bad magic");
+  }
+  std::uint32_t dir_bytes = 0;
+  if (!read_raw(in, dir_bytes) || dir_bytes > kMaxDirBytes) {
+    return Status(StatusCode::kInvalidArgument, "checkpoint: bad directory length");
+  }
+  std::string dir(dir_bytes, '\0');
+  std::uint64_t update_index = 0;
+  if (!in.read(dir.data(), dir_bytes) || !read_raw(in, update_index)) {
+    return Status(StatusCode::kInvalidArgument, "checkpoint: truncated pointer");
+  }
+  return dir;
 }
 
-/// Bytes left between the stream position and end-of-file; the loader
-/// validates every claimed length against this so a corrupted header can
-/// never drive a multi-gigabyte allocation (an earlier loader crashed with
-/// bad_alloc on exactly that input).
-std::uint64_t bytes_remaining(std::istream& in) {
-  const auto pos = in.tellg();
-  if (pos < 0) return 0;
-  in.seekg(0, std::ios::end);
-  const auto end = in.tellg();
-  in.seekg(pos);
-  return end > pos ? static_cast<std::uint64_t>(end - pos) : 0;
+/// The two directories a self-contained checkpoint at `path` alternates
+/// between.
+std::array<std::string, 2> own_dirs(const std::string& path) {
+  return {path + ".0", path + ".1"};
 }
 
-StatusOr<std::string> read_name(std::istream& in) {
-  std::uint32_t name_len = 0;
-  if (!read_u32(in, name_len) || name_len > 4096) {
-    return Status(StatusCode::kInvalidArgument, "checkpoint: bad name length");
-  }
-  std::string name(name_len, '\0');
-  if (!in.read(name.data(), name_len)) {
-    return Status(StatusCode::kInvalidArgument, "checkpoint: truncated name");
-  }
-  return name;
-}
-
-StatusOr<std::pair<std::string, linalg::DenseVector>> read_vector(std::istream& in) {
-  auto name = read_name(in);
-  if (!name.is_ok()) return name.status();
-  std::uint64_t dim = 0;
-  if (!read_u64(in, dim) || dim > (1ULL << 32)) {
-    return Status(StatusCode::kInvalidArgument, "checkpoint: bad vector size");
-  }
-  if (dim * sizeof(double) > bytes_remaining(in)) {
-    return Status(StatusCode::kInvalidArgument,
-                  "checkpoint: vector length overruns file");
-  }
-  try {
-    linalg::DenseVector v(dim);
-    if (!in.read(reinterpret_cast<char*>(v.data()),
-                 static_cast<std::streamsize>(v.size_bytes()))) {
-      return Status(StatusCode::kInvalidArgument, "checkpoint: truncated vector data");
-    }
-    return std::make_pair(std::move(name).value(), std::move(v));
-  } catch (const std::bad_alloc&) {
-    return Status(StatusCode::kInternal, "checkpoint: vector allocation failed");
-  }
-}
-
-Status read_vectors(std::istream& in, SolverCheckpoint& checkpoint) {
-  std::uint32_t vectors = 0;
-  if (!read_u32(in, vectors) || vectors == 0 || vectors > 10'000) {
-    return Status(StatusCode::kInvalidArgument, "checkpoint: bad vector count");
-  }
-  bool saw_model = false;
-  for (std::uint32_t i = 0; i < vectors; ++i) {
-    auto entry = read_vector(in);
-    if (!entry.is_ok()) return entry.status();
-    auto [name, vec] = std::move(entry).value();
-    if (name == "model") {
-      checkpoint.model = std::move(vec);
-      saw_model = true;
-    } else {
-      checkpoint.aux.emplace(std::move(name), std::move(vec));
-    }
-  }
-  if (!saw_model) {
-    return Status(StatusCode::kInvalidArgument, "checkpoint: missing model vector");
-  }
-  return Status::ok();
-}
-
-/// Replaces the checkpoint at `path` with `bytes` atomically and durably: a
-/// crash or a failed write mid-save leaves the previous checkpoint intact.
-Status replace_with(const std::string& path, const std::string& bytes) {
+/// The commit point of every save: atomically replaces the pointer at `path`
+/// with one naming `dir`, then removes the self-contained directories of
+/// `path` it no longer names.
+Status point_to(const std::string& path, const std::string& dir,
+                std::uint64_t update_index) {
+  std::string bytes(kMagic, sizeof(kMagic));
+  append_raw(bytes, static_cast<std::uint32_t>(dir.size()));
+  bytes += dir;
+  append_raw(bytes, update_index);
   const Status s = support::replace_file(
       path, {reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()});
   if (!s.is_ok()) {
-    return Status(StatusCode::kInternal, "checkpoint: cannot write " + path + ": " +
-                                             s.message());
+    return Status(StatusCode::kInternal,
+                  "checkpoint: cannot write " + path + ": " + s.message());
+  }
+  for (const std::string& own : own_dirs(path)) {
+    std::error_code ec;
+    if (own != dir) fs::remove_all(own, ec);
   }
   return Status::ok();
+}
+
+engine::Payload dense_payload(const linalg::DenseVector& v) {
+  return engine::Payload::wrap<linalg::DenseVector>(v, v.size_bytes());
 }
 
 /// Materializes the dense vector stored under `digest`, or nullopt when the
@@ -149,24 +107,72 @@ std::optional<linalg::DenseVector> fetch_dense(store::disk::BlobStore& blobs,
   return payload.value().get<linalg::DenseVector>();
 }
 
-/// v3 load: the stream holds only a pointer (store_dir + advisory index); the
-/// actual state is replayed read-only from the tier's manifest and blobs —
-/// deliberately *not* through DiskTier, which would open a second manifest
-/// writer against a directory the resumed run is about to reopen.
-StatusOr<SolverCheckpoint> load_checkpoint_v3(std::istream& in) {
-  auto dir = read_name(in);
-  if (!dir.is_ok()) return dir.status();
-  const std::string store_dir = std::move(dir).value();
-  std::uint64_t advisory_index = 0;
-  if (!read_u64(in, advisory_index)) {
-    return Status(StatusCode::kInvalidArgument, "checkpoint: truncated v3 pointer");
-  }
+/// Commits `checkpoint` as one record of `tier`, with its model and aux
+/// blobs.
+Status commit_record(store::disk::DiskTier& tier, const SolverCheckpoint& checkpoint) {
+  store::disk::CheckpointRecord rec;
+  rec.update_index = checkpoint.update_index;
+  rec.model_version = checkpoint.model_version;
+  rec.round = checkpoint.round;
+  rec.counters.assign(checkpoint.counters.begin(), checkpoint.counters.end());
+  std::vector<std::pair<std::string, engine::Payload>> aux;
+  for (const auto& [name, v] : checkpoint.aux) aux.emplace_back(name, dense_payload(v));
+  // The model is its own blob: solvers snapshot *after* advance_version, so
+  // it is not yet published (and content addressing dedups the write when it
+  // is).
+  return tier.checkpoint(std::move(rec), dense_payload(checkpoint.model), std::move(aux));
+}
 
+}  // namespace
+
+Status save_checkpoint(const std::string& path, const SolverCheckpoint& checkpoint,
+                       store::disk::DiskTier& tier) {
+  if (Status s = commit_record(tier, checkpoint); !s.is_ok()) return s;
+  return point_to(path, tier.dir(), checkpoint.update_index);
+}
+
+Status save_checkpoint(const std::string& path, const SolverCheckpoint& checkpoint) {
+  // Commit into the directory the pointer does not name; whatever a crashed
+  // earlier save left there is garbage.
+  const auto dirs = own_dirs(path);
+  const auto current = read_pointer(path);
+  const std::string& dir =
+      current.is_ok() && current.value() == dirs[0] ? dirs[1] : dirs[0];
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+  Status s = Status::ok();
+  {
+    store::DiskTierConfig cfg;
+    cfg.dir = dir;
+    auto tier = store::disk::DiskTier::open(cfg, store::disk::OpenMode::kFresh);
+    s = tier.is_ok() ? commit_record(*tier.value(), checkpoint) : tier.status();
+  }
+  // The tier synced everything inside `dir`; its own name becomes durable
+  // before the pointer may name it.
+  const fs::path parent = fs::path(dir).parent_path();
+  if (s.is_ok()) s = support::sync_dir(parent.empty() ? "." : parent.string());
+  if (!s.is_ok()) {
+    fs::remove_all(dir, ec);
+    return s;
+  }
+  // A failed flip keeps `dir`: its rename may have landed before a failing
+  // directory sync, and if it did not, the next save clears `dir`.
+  return point_to(path, dir, checkpoint.update_index);
+}
+
+StatusOr<SolverCheckpoint> load_checkpoint(const std::string& path) {
+  auto pointer = read_pointer(path);
+  if (!pointer.is_ok()) return pointer.status();
+  const std::string store_dir = std::move(pointer).value();
+
+  // Replayed read-only — deliberately *not* through DiskTier, which would
+  // open a second manifest writer against a directory the resumed run is
+  // about to reopen.
   const std::string manifest_path = store_dir + "/MANIFEST";
   std::ifstream mf(manifest_path, std::ios::binary);
   if (!mf) {
     return Status(StatusCode::kDataLoss,
-                  "checkpoint: v3 store manifest missing: " + manifest_path);
+                  "checkpoint: store manifest missing: " + manifest_path);
   }
   const std::vector<std::uint8_t> bytes(
       (std::istreambuf_iterator<char>(mf)), std::istreambuf_iterator<char>());
@@ -211,81 +217,6 @@ StatusOr<SolverCheckpoint> load_checkpoint_v3(std::istream& in) {
   return Status(StatusCode::kDataLoss,
                 "checkpoint: every checkpoint record in " + manifest_path +
                     " has lost or corrupt blobs");
-}
-
-}  // namespace
-
-Status save_checkpoint(const std::string& path, const SolverCheckpoint& checkpoint) {
-  for (const auto& [name, vec] : checkpoint.aux) {
-    (void)vec;
-    if (name == "model") {
-      return Status(StatusCode::kInvalidArgument,
-                    "checkpoint: aux name 'model' is reserved");
-    }
-  }
-  std::ostringstream out;
-  out.write(kMagicV2, sizeof(kMagicV2));
-  write_u64(out, checkpoint.update_index);
-  write_u64(out, checkpoint.model_version);
-  write_u64(out, checkpoint.round);
-  write_u32(out, static_cast<std::uint32_t>(checkpoint.counters.size()));
-  for (const auto& [name, value] : checkpoint.counters) {
-    write_name(out, name);
-    write_u64(out, value);
-  }
-  write_u32(out, static_cast<std::uint32_t>(1 + checkpoint.aux.size()));
-  write_vector(out, "model", checkpoint.model);
-  for (const auto& [name, vec] : checkpoint.aux) {
-    write_vector(out, name, vec);
-  }
-  return replace_with(path, out.str());
-}
-
-Status save_checkpoint_v3(const std::string& path, const std::string& store_dir,
-                          std::uint64_t update_index) {
-  std::ostringstream out;
-  out.write(kMagicV3, sizeof(kMagicV3));
-  write_name(out, store_dir);
-  write_u64(out, update_index);
-  return replace_with(path, out.str());
-}
-
-StatusOr<SolverCheckpoint> load_checkpoint(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status(StatusCode::kNotFound, "checkpoint: cannot open " + path);
-
-  char magic[sizeof(kMagicV2)] = {};
-  if (!in.read(magic, sizeof(magic))) {
-    return Status(StatusCode::kInvalidArgument, "checkpoint: bad magic");
-  }
-  if (std::memcmp(magic, kMagicV3, sizeof(kMagicV3)) == 0) {
-    return load_checkpoint_v3(in);
-  }
-  if (std::memcmp(magic, kMagicV2, sizeof(kMagicV2)) != 0) {
-    return Status(StatusCode::kInvalidArgument, "checkpoint: bad magic");
-  }
-
-  SolverCheckpoint checkpoint;
-  if (!read_u64(in, checkpoint.update_index) || !read_u64(in, checkpoint.model_version) ||
-      !read_u64(in, checkpoint.round)) {
-    return Status(StatusCode::kInvalidArgument, "checkpoint: truncated header");
-  }
-  std::uint32_t counters = 0;
-  if (!read_u32(in, counters) || counters > 10'000) {
-    return Status(StatusCode::kInvalidArgument, "checkpoint: bad counter count");
-  }
-  for (std::uint32_t i = 0; i < counters; ++i) {
-    auto name = read_name(in);
-    if (!name.is_ok()) return name.status();
-    std::uint64_t value = 0;
-    if (!read_u64(in, value)) {
-      return Status(StatusCode::kInvalidArgument, "checkpoint: truncated counter");
-    }
-    checkpoint.counters.emplace(std::move(name).value(), value);
-  }
-  const Status vectors = read_vectors(in, checkpoint);
-  if (!vectors.is_ok()) return vectors;
-  return checkpoint;
 }
 
 }  // namespace asyncml::optim

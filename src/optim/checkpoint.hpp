@@ -4,8 +4,8 @@
 //
 // Spark's fault tolerance covers tasks (retries) and RDDs (lineage); the
 // *driver's* algorithm state — the model, SAGA's running mean, the version
-// counter — is the user's to persist.  This module provides a small binary
-// format for exactly that, so long optimizations survive server restarts:
+// counter — is the user's to persist.  This module persists exactly that, so
+// long optimizations survive server restarts:
 //
 //   SolverCheckpoint cp;
 //   cp.model = w; cp.aux["alpha_bar"] = alpha_bar;
@@ -13,29 +13,28 @@
 //   ...
 //   auto restored = load_checkpoint(path);
 //
-// Format v2 ("AMLCKPT2"): update index, model version, dispatch round, a
-// named u64 counter map (STAT totals, solver run counters), then named dense
-// vectors (u32 name length, name bytes, u64 dim, doubles).  Little-endian
-// host order (documented limitation: not portable across endianness).
-// Version + round matter for *bit-exact* resume: mini-batches derive from
-// (seed, partition, seq), so the restored run must continue the seq stream
-// where the original left off, not restart it at zero.
+// One format (docs/DURABILITY.md, "Checkpoints"). The state is a checkpoint
+// record (manifest type 3) in a disk-tier directory: update index, model
+// version, dispatch round and named u64 counters inline, the model and the
+// named aux vectors as sha256-addressed blobs. The file at `path` is only a
+// pointer to that directory ("AMLCKPT3", u32 directory length, directory
+// bytes, u64 advisory update index; host byte order). Version + round matter
+// for *bit-exact* resume: mini-batches derive from (seed, partition, seq), so
+// the restored run must continue the seq stream where the original left off.
 //
-// Every malformed input — truncated file, bad magic (the retired v1
-// "AMLCKPT1" included), a vector length that overruns the file — is a non-OK
-// Status, never a crash: claimed sizes are validated against the actual file
-// size before any allocation.
+// The directory is either the store's live tier (save_checkpoint with a
+// tier) or a self-contained one, `<path>.0` or `<path>.1`, holding that one
+// record and its blobs: a save commits into the one the pointer does not
+// name, flips the pointer to it, then removes the other.
 //
-// Format v3 ("AMLCKPT3", docs/DURABILITY.md): the checkpoint file shrinks to
-// a pointer — the disk-tier directory plus an advisory update index.  The
-// real state lives in the tier: checkpoint records in the append-only
-// MANIFEST naming sha256-addressed model/aux blobs.  Loading replays the
-// manifest read-only and walks the checkpoint records newest → oldest,
-// returning the first record whose blobs all verify (hash + CRC); a corrupt
-// blob is quarantined by the blob store and the loader falls back to the
-// next older record — bit-exact, since *any* intact checkpoint k resumes
-// exactly at update k.  v3 is written by maybe_checkpoint when the store's
-// disk tier is enabled; v2 files keep loading unchanged.
+// Loading replays the directory's manifest read-only and walks its
+// checkpoint records newest → oldest, returning the first whose blobs all
+// verify (hash + CRC); a corrupt blob is quarantined by the blob store and
+// the loader falls back to the next older record — bit-exact, since *any*
+// intact checkpoint k resumes exactly at update k. Every malformed pointer —
+// bad magic (the retired self-contained v1 and v2 files included),
+// truncation, an absurd directory length, a directory without a MANIFEST —
+// is a non-OK Status, never a crash.
 
 #include <cstdint>
 #include <map>
@@ -43,6 +42,10 @@
 
 #include "linalg/dense_vector.hpp"
 #include "support/status.hpp"
+
+namespace asyncml::store::disk {
+class DiskTier;
+}  // namespace asyncml::store::disk
 
 namespace asyncml::optim {
 
@@ -59,23 +62,24 @@ struct SolverCheckpoint {
   std::map<std::string, std::uint64_t> counters;
   /// Named auxiliary vectors (e.g. SAGA's "alpha_bar").
   std::map<std::string, linalg::DenseVector> aux;
-  /// Disk-tier directory this checkpoint was loaded from (v3 only; empty for
-  /// v2). Informational — the resumed run re-opens the tier through its
-  /// own StoreConfig.
+  /// Set by load_checkpoint: the directory the record came from (the store's
+  /// tier or the self-contained `<path>.N`). Informational — the resumed run
+  /// re-opens its tier through its own StoreConfig.
   std::string store_dir;
 };
 
-/// Both writers replace `path` atomically and durably (`<path>.tmp`, fsync,
-/// rename, fsync of the directory): a crash or a failed write mid-save
-/// leaves the previous checkpoint at `path` intact.
+/// Writes `checkpoint` as a self-contained checkpoint (see above). The
+/// pointer flip is the commit point: a crash or a failed write mid-save
+/// leaves the previous checkpoint at `path` loadable.
 [[nodiscard]] support::Status save_checkpoint(const std::string& path,
                                               const SolverCheckpoint& checkpoint);
 
-/// Writes a v3 pointer checkpoint: `store_dir` (the disk tier holding the
-/// actual state) + the advisory update index.
-[[nodiscard]] support::Status save_checkpoint_v3(const std::string& path,
-                                                 const std::string& store_dir,
-                                                 std::uint64_t update_index);
+/// Commits `checkpoint` as a record of the live `tier` (DiskTier::checkpoint:
+/// it returns once the record and everything queued before it is durable),
+/// then points `path` at the tier's directory.
+[[nodiscard]] support::Status save_checkpoint(const std::string& path,
+                                              const SolverCheckpoint& checkpoint,
+                                              store::disk::DiskTier& tier);
 
 [[nodiscard]] support::StatusOr<SolverCheckpoint> load_checkpoint(
     const std::string& path);

@@ -79,16 +79,21 @@ struct SolverConfig {
   /// (Sgd, Asgd, Saga, Asaga, EpochVr); MllibSgd and NaiveSaga ignore it.
   std::uint64_t checkpoint_every = 0;
 
-  /// Snapshot destination; each snapshot overwrites the previous one.
-  /// Required when checkpoint_every > 0.
+  /// Snapshot destination: a pointer file naming the directory that holds
+  /// the checkpoint record — the store's disk tier when it is live, else a
+  /// self-contained `<path>.0` or `<path>.1` beside it (optim/checkpoint.hpp).
+  /// Each snapshot replaces the previous one. Required when
+  /// checkpoint_every > 0.
   std::string checkpoint_path;
 
   /// Resume from this checkpoint before the first update (the same five
   /// solvers): Sgd continues bit-exactly (same trajectory as the
   /// uninterrupted run), Asgd trajectory-equivalently; Saga, Asaga and
   /// EpochVr warm-start at the checkpointed model with their other state
-  /// cold (docs/FAULTS.md). Empty = fresh start. A missing or malformed
-  /// file aborts loudly rather than silently restarting.
+  /// cold (docs/FAULTS.md). A checkpoint_path pointer; the newest record in
+  /// the directory it names whose blobs verify is the one resumed. Empty =
+  /// fresh start. A missing or malformed pointer, or a directory with no
+  /// intact record, aborts loudly rather than silently restarting.
   std::string resume_from;
 
   /// Snapshot the model every `eval_every` updates for the trace.

@@ -180,46 +180,18 @@ inline void write_checkpoint(const SolverConfig& config, core::AsyncContext& ac,
   cp.counters["duplicates_dropped"] = ac.coordinator().duplicates_dropped();
   cp.counters["retries"] = ac.retries();
 
-  // With the disk tier live, checkpoint through it (v3): model/aux become
-  // content-addressed blobs, the record rides the manifest, and the
-  // checkpoint file shrinks to a pointer. The blobs and the record are one
-  // job for the tier's writer, and the checkpoint waits for it: once it is
-  // committed, so is every publish record queued before it, and only then
-  // is the pointer written. Any step failing (an injected write fault that
-  // exhausts its retries, a full disk) degrades loudly to the
-  // self-contained v2 format — durability of *this* snapshot is preserved
-  // either way.
-  if (config.store_config.disk.enabled) {
-    if (auto* tier = ac.history().disk_tier(); tier != nullptr) {
-      store::disk::CheckpointRecord rec;
-      rec.update_index = cp.update_index;
-      rec.model_version = cp.model_version;
-      rec.round = cp.round;
-      rec.counters.assign(cp.counters.begin(), cp.counters.end());
-      std::vector<std::pair<std::string, engine::Payload>> aux_blobs;
-      for (const auto& [name, vec] : cp.aux) {
-        aux_blobs.emplace_back(
-            name, engine::Payload::wrap<linalg::DenseVector>(vec, vec.size_bytes()));
-      }
-      // The checkpointed model is written as its own blob: solvers snapshot
-      // *after* advance_version, so `w` is not yet published (and content
-      // addressing dedups the write when it is).
-      bool ok = tier->checkpoint(std::move(rec),
-                                 engine::Payload::wrap<linalg::DenseVector>(
-                                     cp.model, cp.model.size_bytes()),
-                                 std::move(aux_blobs))
-                    .is_ok();
-      if (ok) {
-        ok = save_checkpoint_v3(config.checkpoint_path, tier->dir(), update_index)
-                 .is_ok();
-      }
-      if (ok) return;
-      std::fprintf(stderr,
-                   "maybe_checkpoint: disk-tier checkpoint failed; writing a "
-                   "self-contained v2 checkpoint instead\n");
-    }
+  // With the store's disk tier live, the record goes into it: the record and
+  // its blobs are one job for the tier's writer, and the save waits for it,
+  // so every publish record queued before it is durable too before the
+  // pointer names the tier. If that fails (an injected write fault that
+  // exhausts its retries, a full disk), the same record goes into a
+  // self-contained directory instead.
+  if (auto* tier = ac.history().disk_tier(); tier != nullptr) {
+    if (save_checkpoint(config.checkpoint_path, cp, *tier).is_ok()) return;
+    std::fprintf(stderr,
+                 "maybe_checkpoint: disk-tier checkpoint failed; writing a "
+                 "self-contained checkpoint instead\n");
   }
-
   const support::Status saved = save_checkpoint(config.checkpoint_path, cp);
   if (!saved.is_ok()) {
     std::fprintf(stderr, "maybe_checkpoint: cannot write '%s': %s\n",

@@ -1,6 +1,6 @@
 #pragma once
 
-// Closable blocking MPMC queue.
+// Closable, unbounded blocking MPMC queue.
 //
 // This is the message-passing primitive of the engine: worker mailboxes and
 // the driver's result channel are BlockingQueues.  Design points, following
@@ -24,30 +24,16 @@ namespace asyncml::support {
 template <typename T>
 class BlockingQueue {
  public:
-  /// `capacity == 0` means unbounded. Bounded queues block pushers when full
-  /// (backpressure), which the engine uses to model finite network buffers.
-  explicit BlockingQueue(std::size_t capacity = 0) : capacity_(capacity) {}
-
+  BlockingQueue() = default;
   BlockingQueue(const BlockingQueue&) = delete;
   BlockingQueue& operator=(const BlockingQueue&) = delete;
 
-  /// Pushes an item; blocks while a bounded queue is full. Returns false if
-  /// the queue is (or becomes) closed — the item is dropped in that case.
+  /// Pushes an item. Returns false if the queue is closed — the item is
+  /// dropped in that case.
   bool push(T item) {
-    std::unique_lock lock(mutex_);
-    not_full_.wait(lock, [&] { return closed_ || !bounded_full_locked(); });
-    if (closed_) return false;
-    items_.push_back(std::move(item));
-    lock.unlock();
-    not_empty_.notify_one();
-    return true;
-  }
-
-  /// Non-blocking push attempt; returns false when full or closed.
-  bool try_push(T item) {
     {
       std::lock_guard lock(mutex_);
-      if (closed_ || bounded_full_locked()) return false;
+      if (closed_) return false;
       items_.push_back(std::move(item));
     }
     not_empty_.notify_one();
@@ -58,25 +44,13 @@ class BlockingQueue {
   std::optional<T> pop() {
     std::unique_lock lock(mutex_);
     not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
-    return pop_front_locked(lock);
-  }
-
-  /// Pop with timeout; nullopt on timeout or on closed+drained.
-  template <typename Rep, typename Period>
-  std::optional<T> pop_for(std::chrono::duration<Rep, Period> timeout) {
-    std::unique_lock lock(mutex_);
-    if (!not_empty_.wait_for(lock, timeout,
-                             [&] { return closed_ || !items_.empty(); })) {
-      return std::nullopt;
-    }
-    return pop_front_locked(lock);
+    return pop_front_locked();
   }
 
   /// Non-blocking pop.
   std::optional<T> try_pop() {
-    std::unique_lock lock(mutex_);
-    if (items_.empty()) return std::nullopt;
-    return pop_front_locked(lock);
+    std::lock_guard lock(mutex_);
+    return pop_front_locked();
   }
 
   /// Takes the entire queue contents in one swap under one lock — the batch
@@ -85,11 +59,8 @@ class BlockingQueue {
   /// Returns an empty deque when the queue is empty.
   std::deque<T> drain() {
     std::deque<T> out;
-    {
-      std::lock_guard lock(mutex_);
-      items_.swap(out);
-    }
-    if (!out.empty()) not_full_.notify_all();
+    std::lock_guard lock(mutex_);
+    items_.swap(out);
     return out;
   }
 
@@ -99,15 +70,10 @@ class BlockingQueue {
   template <typename Rep, typename Period>
   std::deque<T> drain_for(std::chrono::duration<Rep, Period> timeout) {
     std::deque<T> out;
-    {
-      std::unique_lock lock(mutex_);
-      if (!not_empty_.wait_for(lock, timeout,
-                               [&] { return closed_ || !items_.empty(); })) {
-        return out;
-      }
+    std::unique_lock lock(mutex_);
+    if (not_empty_.wait_for(lock, timeout, [&] { return closed_ || !items_.empty(); })) {
       items_.swap(out);
     }
-    if (!out.empty()) not_full_.notify_all();
     return out;
   }
 
@@ -119,7 +85,6 @@ class BlockingQueue {
       closed_ = true;
     }
     not_empty_.notify_all();
-    not_full_.notify_all();
   }
 
   [[nodiscard]] bool closed() const {
@@ -135,24 +100,16 @@ class BlockingQueue {
   [[nodiscard]] bool empty() const { return size() == 0; }
 
  private:
-  bool bounded_full_locked() const {
-    return capacity_ != 0 && items_.size() >= capacity_;
-  }
-
-  std::optional<T> pop_front_locked(std::unique_lock<std::mutex>& lock) {
+  std::optional<T> pop_front_locked() {
     if (items_.empty()) return std::nullopt;  // closed and drained
     T item = std::move(items_.front());
     items_.pop_front();
-    lock.unlock();
-    not_full_.notify_one();
     return item;
   }
 
   mutable std::mutex mutex_;
   std::condition_variable not_empty_;
-  std::condition_variable not_full_;
   std::deque<T> items_;
-  std::size_t capacity_;
   bool closed_ = false;
 };
 

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 
@@ -51,6 +53,13 @@ std::string temp_path(const char* name) {
   return ::testing::TempDir() + name;
 }
 
+/// Removes the pointer at `path` and both of its self-contained directories.
+void remove_checkpoint(const std::string& path) {
+  std::filesystem::remove(path);
+  std::filesystem::remove_all(path + ".0");
+  std::filesystem::remove_all(path + ".1");
+}
+
 TEST(CheckpointRestore, SgdResumesBitExactly) {
   const Workload workload = tiny_workload(1);
   const std::string path = temp_path("sgd_restore.ckpt");
@@ -79,7 +88,7 @@ TEST(CheckpointRestore, SgdResumesBitExactly) {
   EXPECT_EQ(linalg::max_abs_diff(resumed.final_w.span(), uninterrupted.final_w.span()),
             0.0);
   EXPECT_DOUBLE_EQ(resumed.final_error(), uninterrupted.final_error());
-  std::remove(path.c_str());
+  remove_checkpoint(path);
 }
 
 TEST(CheckpointRestore, CheckpointCarriesVersionRoundAndCounters) {
@@ -102,7 +111,7 @@ TEST(CheckpointRestore, CheckpointCarriesVersionRoundAndCounters) {
   ASSERT_TRUE(cp.counters.contains("tasks_failed"));
   ASSERT_TRUE(cp.counters.contains("duplicates_dropped"));
   ASSERT_TRUE(cp.counters.contains("retries"));
-  std::remove(path.c_str());
+  remove_checkpoint(path);
 }
 
 TEST(CheckpointRestore, AsgdResumeContinuesTheBudgetAndConverges) {
@@ -124,7 +133,7 @@ TEST(CheckpointRestore, AsgdResumeContinuesTheBudgetAndConverges) {
   // up where the checkpoint left off and the combined run still converges.
   EXPECT_EQ(resumed.updates, 80u);
   EXPECT_LT(resumed.final_error(), 0.5);
-  std::remove(path.c_str());
+  remove_checkpoint(path);
 }
 
 TEST(CheckpointRestore, SagaResumeWarmStartsTheModel) {
@@ -155,7 +164,7 @@ TEST(CheckpointRestore, SagaResumeWarmStartsTheModel) {
   // than where the first leg ended (plain-SAGA restart is unbiased).
   EXPECT_EQ(resumed.updates, 60u);
   EXPECT_LE(resumed.final_error(), first.final_error() + 1e-9);
-  std::remove(path.c_str());
+  remove_checkpoint(path);
 }
 
 using Solver = RunResult (*)(engine::Cluster&, const Workload&, const SolverConfig&);
@@ -191,7 +200,7 @@ void expect_warm_start_resume(Solver solver, SolverConfig config, std::uint64_t 
   EXPECT_EQ(resumed.trace.front().update, k);
   EXPECT_GE(resumed.updates, 2 * k);
   EXPECT_LE(resumed.final_error(), first.final_error() + 1e-9);
-  std::remove(path.c_str());
+  remove_checkpoint(path);
 }
 
 TEST(CheckpointRestore, AsagaResumeWarmStartsTheModel) {
@@ -215,8 +224,12 @@ TEST(CheckpointRestoreDeathTest, MalformedResumeFileAbortsLoudly) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const std::string path = temp_path("corrupt.ckpt");
   {
+    // A pointer past its magic whose directory length overruns the file.
     std::ofstream out(path, std::ios::binary);
-    out << "AMLCKPT2 but then garbage";
+    out.write("AMLCKPT3", 8);
+    const std::uint32_t dir_bytes = 64;
+    out.write(reinterpret_cast<const char*>(&dir_bytes), sizeof(dir_bytes));
+    out << "but then garbage";
   }
   const Workload workload = tiny_workload(5);
   SolverConfig config = base_config(5);
@@ -227,7 +240,7 @@ TEST(CheckpointRestoreDeathTest, MalformedResumeFileAbortsLoudly) {
         (void)SgdSolver::run(cluster, workload, config);
       },
       "cannot resume");
-  std::remove(path.c_str());
+  remove_checkpoint(path);
 }
 
 TEST(CheckpointRestoreDeathTest, MissingResumeFileAbortsLoudly) {

@@ -9,6 +9,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "core/async_context.hpp"
 #include "engine/cluster.hpp"
@@ -19,6 +21,13 @@ namespace {
 
 std::string temp_path(const char* name) {
   return (std::filesystem::temp_directory_path() / name).string();
+}
+
+/// Removes the pointer at `path` and both of its self-contained directories.
+void remove_checkpoint(const std::string& path) {
+  std::filesystem::remove(path);
+  std::filesystem::remove_all(path + ".0");
+  std::filesystem::remove_all(path + ".1");
 }
 
 TEST(Checkpoint, RoundTripModelAndAux) {
@@ -39,7 +48,7 @@ TEST(Checkpoint, RoundTripModelAndAux) {
   ASSERT_EQ(back.aux.size(), 2u);
   EXPECT_EQ(back.aux.at("alpha_bar"), cp.aux.at("alpha_bar"));
   EXPECT_EQ(back.aux.at("momentum"), cp.aux.at("momentum"));
-  std::filesystem::remove(path);
+  remove_checkpoint(path);
 }
 
 TEST(Checkpoint, EmptyAuxAllowed) {
@@ -50,14 +59,7 @@ TEST(Checkpoint, EmptyAuxAllowed) {
   const auto loaded = load_checkpoint(path);
   ASSERT_TRUE(loaded.is_ok());
   EXPECT_TRUE(loaded.value().aux.empty());
-  std::filesystem::remove(path);
-}
-
-TEST(Checkpoint, ReservedAuxNameRejected) {
-  SolverCheckpoint cp;
-  cp.model = linalg::DenseVector{1.0};
-  cp.aux["model"] = linalg::DenseVector{2.0};
-  EXPECT_FALSE(save_checkpoint(temp_path("asyncml_ckpt_bad.bin"), cp).is_ok());
+  remove_checkpoint(path);
 }
 
 TEST(Checkpoint, MissingFileIsNotFound) {
@@ -66,17 +68,22 @@ TEST(Checkpoint, MissingFileIsNotFound) {
   EXPECT_EQ(loaded.status().code(), support::StatusCode::kNotFound);
 }
 
-
 TEST(Checkpoint, TruncatedFileRejected) {
   SolverCheckpoint cp;
   cp.update_index = 7;
   cp.model = linalg::DenseVector(64, 1.0);
   const std::string path = temp_path("asyncml_ckpt_trunc.bin");
   ASSERT_TRUE(save_checkpoint(path, cp).is_ok());
-  // Truncate mid-vector.
-  std::filesystem::resize_file(path, 40);
-  EXPECT_FALSE(load_checkpoint(path).is_ok());
-  std::filesystem::remove(path);
+  // Every proper prefix of the pointer: inside the magic, the directory
+  // length, the directory name and the advisory index.
+  const auto size = std::filesystem::file_size(path);
+  for (auto len = size; len-- > 0;) {
+    std::filesystem::resize_file(path, len);
+    const auto loaded = load_checkpoint(path);
+    ASSERT_FALSE(loaded.is_ok()) << "prefix of " << len << " bytes";
+    EXPECT_EQ(loaded.status().code(), support::StatusCode::kInvalidArgument);
+  }
+  remove_checkpoint(path);
 }
 
 // A save that fails mid-write must leave the previous checkpoint loadable:
@@ -85,7 +92,7 @@ TEST(Checkpoint, TruncatedFileRejected) {
 // (SIGXFSZ ignored, so the write fails with EFBIG instead of killing it).
 TEST(Checkpoint, FailedSaveKeepsThePreviousCheckpoint) {
   const std::string path = temp_path("asyncml_ckpt_fsize.bin");
-  std::filesystem::remove(path);
+  remove_checkpoint(path);
   const pid_t pid = ::fork();
   ASSERT_GE(pid, 0) << "fork failed";
   if (pid == 0) {
@@ -108,10 +115,10 @@ TEST(Checkpoint, FailedSaveKeepsThePreviousCheckpoint) {
   ASSERT_TRUE(WIFEXITED(status)) << "child died (status " << status << ")";
   // 4: the failed save reported success; 5: the previous checkpoint is gone.
   EXPECT_EQ(WEXITSTATUS(status), 0);
-  std::filesystem::remove(path);
+  remove_checkpoint(path);
 }
 
-TEST(Checkpoint, V2RoundTripCarriesVersionRoundAndCounters) {
+TEST(Checkpoint, RoundTripCarriesVersionRoundAndCounters) {
   SolverCheckpoint cp;
   cp.update_index = 100;
   cp.model_version = 97;
@@ -120,7 +127,7 @@ TEST(Checkpoint, V2RoundTripCarriesVersionRoundAndCounters) {
   cp.counters["tasks_completed"] = 1234;
   cp.counters["retries"] = 7;
 
-  const std::string path = temp_path("asyncml_ckpt_v2.bin");
+  const std::string path = temp_path("asyncml_ckpt_counters.bin");
   ASSERT_TRUE(save_checkpoint(path, cp).is_ok());
   const auto loaded = load_checkpoint(path);
   ASSERT_TRUE(loaded.is_ok());
@@ -129,7 +136,7 @@ TEST(Checkpoint, V2RoundTripCarriesVersionRoundAndCounters) {
   ASSERT_EQ(loaded.value().counters.size(), 2u);
   EXPECT_EQ(loaded.value().counters.at("tasks_completed"), 1234u);
   EXPECT_EQ(loaded.value().counters.at("retries"), 7u);
-  std::filesystem::remove(path);
+  remove_checkpoint(path);
 }
 
 namespace raw {
@@ -144,25 +151,29 @@ void name(std::ofstream& out, const std::string& s) {
   u32(out, static_cast<std::uint32_t>(s.size()));
   out.write(s.data(), static_cast<std::streamsize>(s.size()));
 }
-/// Magic + v2 header (update index, model version, round, 0 counters).
-void v2_header(std::ofstream& out) {
-  out.write("AMLCKPT2", 8);
-  u64(out, 1);
-  u64(out, 1);
-  u64(out, 1);
-  u32(out, 0);
-}
-
 }  // namespace raw
 
 TEST(Checkpoint, BadMagicRejected) {
-  // Garbage, and a well-formed file in the retired v1 format ("AMLCKPT1":
-  // update index + vectors, no version/round/counters).
+  // Garbage, and well-formed files in the retired self-contained formats:
+  // v1 ("AMLCKPT1": update index + vectors) and v2 ("AMLCKPT2": update
+  // index, version, round, counters, then vectors).
   void (*const writers[])(std::ofstream&) = {
       [](std::ofstream& out) { out << "not a checkpoint at all"; },
       [](std::ofstream& out) {
         out.write("AMLCKPT1", 8);
         raw::u64(out, 55);
+        raw::u32(out, 1);
+        raw::name(out, "model");
+        raw::u64(out, 2);
+        const double values[2] = {4.0, 8.0};
+        out.write(reinterpret_cast<const char*>(values), sizeof(values));
+      },
+      [](std::ofstream& out) {
+        out.write("AMLCKPT2", 8);
+        raw::u64(out, 55);
+        raw::u64(out, 55);
+        raw::u64(out, 110);
+        raw::u32(out, 0);
         raw::u32(out, 1);
         raw::name(out, "model");
         raw::u64(out, 2);
@@ -182,16 +193,14 @@ TEST(Checkpoint, BadMagicRejected) {
   std::filesystem::remove(path);
 }
 
-TEST(Checkpoint, VectorLengthOverrunningFileRejectedWithoutAllocating) {
-  // A corrupted dim within the sanity bound but far past end-of-file must be
-  // caught by the bytes-remaining check, not by attempting the allocation.
-  const std::string path = temp_path("asyncml_ckpt_overrun.bin");
+TEST(Checkpoint, AbsurdDirectoryLengthRejectedWithoutAllocating) {
+  // A directory length past the sanity bound must be refused before the
+  // name is allocated or read.
+  const std::string path = temp_path("asyncml_ckpt_dirlen.bin");
   {
     std::ofstream out(path, std::ios::binary);
-    raw::v2_header(out);
-    raw::u32(out, 1);
-    raw::name(out, "model");
-    raw::u64(out, 1ULL << 31);  // claims 16 GiB of doubles; file holds none
+    out.write("AMLCKPT3", 8);
+    raw::u32(out, 0xFFFFFFFFu);
   }
   const auto loaded = load_checkpoint(path);
   ASSERT_FALSE(loaded.is_ok());
@@ -199,48 +208,93 @@ TEST(Checkpoint, VectorLengthOverrunningFileRejectedWithoutAllocating) {
   std::filesystem::remove(path);
 }
 
-TEST(Checkpoint, AbsurdVectorDimRejected) {
-  const std::string path = temp_path("asyncml_ckpt_absurd.bin");
+TEST(Checkpoint, PointerToADirectoryWithoutManifestRejected) {
+  const std::string path = temp_path("asyncml_ckpt_nomanifest.bin");
+  const std::string dir = temp_path("asyncml_ckpt_nomanifest.dir");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
   {
     std::ofstream out(path, std::ios::binary);
-    raw::v2_header(out);
-    raw::u32(out, 1);
-    raw::name(out, "model");
-    raw::u64(out, (1ULL << 32) + 1);
-  }
-  EXPECT_FALSE(load_checkpoint(path).is_ok());
-  std::filesystem::remove(path);
-}
-
-TEST(Checkpoint, AbsurdCounterCountRejected) {
-  const std::string path = temp_path("asyncml_ckpt_counters.bin");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out.write("AMLCKPT2", 8);
+    out.write("AMLCKPT3", 8);
+    raw::name(out, dir);
     raw::u64(out, 1);
-    raw::u64(out, 1);
-    raw::u64(out, 1);
-    raw::u32(out, 50'000);  // > the 10'000 sanity cap
-  }
-  EXPECT_FALSE(load_checkpoint(path).is_ok());
-  std::filesystem::remove(path);
-}
-
-TEST(Checkpoint, MissingModelVectorRejected) {
-  const std::string path = temp_path("asyncml_ckpt_nomodel.bin");
-  {
-    std::ofstream out(path, std::ios::binary);
-    raw::v2_header(out);
-    raw::u32(out, 1);
-    raw::name(out, "alpha_bar");  // aux only; "model" never appears
-    raw::u64(out, 1);
-    const double value = 1.0;
-    out.write(reinterpret_cast<const char*>(&value), sizeof(value));
   }
   const auto loaded = load_checkpoint(path);
   ASSERT_FALSE(loaded.is_ok());
-  EXPECT_EQ(loaded.status().code(), support::StatusCode::kInvalidArgument);
+  EXPECT_EQ(loaded.status().code(), support::StatusCode::kDataLoss);
+  // The loader only reads: it created nothing in the named directory.
+  EXPECT_TRUE(std::filesystem::is_empty(dir));
   std::filesystem::remove(path);
+  std::filesystem::remove_all(dir);
+}
+
+// Each save commits into a fresh directory and removes the one it replaced,
+// so repeated saves to one path leave exactly one self-contained directory.
+TEST(Checkpoint, RepeatedSavesLeaveOneSelfContainedDirectory) {
+  const std::filesystem::path path = temp_path("asyncml_ckpt_repeat.bin");
+  remove_checkpoint(path.string());
+  SolverCheckpoint cp;
+  cp.model = linalg::DenseVector{1.0, 2.0};
+  cp.aux["alpha_bar"] = linalg::DenseVector{0.5, 0.25};
+  for (std::uint64_t k = 1; k <= 5; ++k) {
+    cp.update_index = k;
+    cp.model[0] = static_cast<double>(k);
+    ASSERT_TRUE(save_checkpoint(path.string(), cp).is_ok());
+
+    const auto loaded = load_checkpoint(path.string());
+    ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
+    EXPECT_EQ(loaded.value().update_index, k);
+    EXPECT_EQ(loaded.value().model, cp.model);
+    std::vector<std::filesystem::path> dirs;
+    for (const auto& entry : std::filesystem::directory_iterator(path.parent_path())) {
+      const std::string name = entry.path().filename().string();
+      if (entry.is_directory() && name.starts_with(path.filename().string())) {
+        dirs.push_back(entry.path());
+      }
+    }
+    ASSERT_EQ(dirs.size(), 1u) << "after save " << k;
+    EXPECT_EQ(dirs.front().string(), loaded.value().store_dir);
+  }
+  remove_checkpoint(path.string());
+}
+
+// A self-contained checkpoint is verified like the store's: a model blob
+// whose bytes changed on disk is quarantined, and with no older record to
+// fall back to the load is kDataLoss.
+TEST(Checkpoint, CorruptModelBlobIsDataLossAndQuarantined) {
+  const std::string path = temp_path("asyncml_ckpt_corrupt.bin");
+  remove_checkpoint(path);
+  SolverCheckpoint cp;
+  cp.update_index = 3;
+  cp.model = linalg::DenseVector(32, 1.5);
+  ASSERT_TRUE(save_checkpoint(path, cp).is_ok());
+  const auto saved = load_checkpoint(path);
+  ASSERT_TRUE(saved.is_ok()) << saved.status().to_string();
+  const std::string dir = saved.value().store_dir;
+
+  std::vector<std::filesystem::path> objects;
+  for (const auto& entry : std::filesystem::directory_iterator(dir + "/objects")) {
+    objects.push_back(entry.path());
+  }
+  ASSERT_EQ(objects.size(), 1u);  // the model: the record has no aux
+  {
+    std::fstream blob(objects.front(), std::ios::binary | std::ios::in | std::ios::out);
+    blob.seekp(-1, std::ios::end);  // the model's last byte
+    blob.put('\x7f');
+  }
+
+  const auto loaded = load_checkpoint(path);
+  ASSERT_FALSE(loaded.is_ok());
+  EXPECT_EQ(loaded.status().code(), support::StatusCode::kDataLoss);
+  EXPECT_FALSE(std::filesystem::exists(objects.front()));
+  const std::string hex = objects.front().filename().string();
+  std::size_t quarantined = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir + "/quarantine")) {
+    EXPECT_EQ(entry.path().filename().string().rfind(hex, 0), 0u);
+    ++quarantined;
+  }
+  EXPECT_EQ(quarantined, 1u);
+  remove_checkpoint(path);
 }
 
 TEST(Checkpoint, AuxIsBuiltOnlyWhenACheckpointIsDue) {
@@ -266,7 +320,7 @@ TEST(Checkpoint, AuxIsBuiltOnlyWhenACheckpointIsDue) {
   ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
   EXPECT_EQ(loaded.value().update_index, 12u);
   EXPECT_EQ(loaded.value().aux.at("alpha_bar"), (linalg::DenseVector{3.0, 4.0}));
-  std::filesystem::remove(config.checkpoint_path);
+  remove_checkpoint(config.checkpoint_path);
 }
 
 TEST(Checkpoint, ResumeReproducesContinuation) {
@@ -307,7 +361,7 @@ TEST(Checkpoint, ResumeReproducesContinuation) {
   }
   EXPECT_EQ(w2, w_ref);
   EXPECT_EQ(aux2, aux_ref);
-  std::filesystem::remove(path);
+  remove_checkpoint(path);
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 //   * an injected torn_write on the newest checkpoint's model blob makes the
 //     restore fall back to the previous checkpoint record (quarantine, no
 //     abort) and the continuation is still bit-exact;
+//   * a tier whose blob writes fail leaves every checkpoint in a
+//     self-contained directory beside the pointer, still bit-exact;
 //   * the tier itself is invisible to the math: disk on vs off is
 //     bit-identical, and so is a run whose tier cannot open.
 //
@@ -108,10 +110,17 @@ std::string fresh_dir(const std::string& name) {
   return dir;
 }
 
+/// Removes the pointer at `path` and both of its self-contained directories.
+void remove_checkpoint(const std::string& path) {
+  std::filesystem::remove(path);
+  std::filesystem::remove_all(path + ".0");
+  std::filesystem::remove_all(path + ".1");
+}
+
 TEST(DiskRecovery, SigkilledCoordinatorResumesBitExactlyWithoutReplay) {
   const std::string dir = fresh_dir("sigkill_store");
   const std::string ckpt = test_tmp() + "sigkill.ckpt";
-  std::remove(ckpt.c_str());
+  remove_checkpoint(ckpt);
 
   const pid_t pid = fork();
   ASSERT_GE(pid, 0) << "fork failed";
@@ -163,7 +172,7 @@ TEST(DiskRecovery, SigkilledCoordinatorResumesBitExactlyWithoutReplay) {
   ASSERT_EQ(resumed.final_w.size(), uninterrupted.final_w.size());
   EXPECT_EQ(linalg::max_abs_diff(resumed.final_w.span(), uninterrupted.final_w.span()),
             0.0);
-  std::remove(ckpt.c_str());
+  remove_checkpoint(ckpt);
 }
 
 // An injected torn_write eats the newest checkpoint's model blob: the write
@@ -187,7 +196,7 @@ TEST(DiskRecovery, TornCheckpointBlobFallsBackToOlderRecordBitExactly) {
     engine::Cluster cluster(quiet_config(2));
     (void)SgdSolver::run(cluster, workload, config);
     total_writes = cluster.metrics().disk.blob_writes.load();
-    std::remove(dry_ckpt.c_str());
+    remove_checkpoint(dry_ckpt);
   }
   ASSERT_GT(total_writes, 3u);
 
@@ -228,7 +237,7 @@ TEST(DiskRecovery, TornCheckpointBlobFallsBackToOlderRecordBitExactly) {
 
   EXPECT_EQ(linalg::max_abs_diff(resumed.final_w.span(), uninterrupted.final_w.span()),
             0.0);
-  std::remove(ckpt.c_str());
+  remove_checkpoint(ckpt);
 }
 
 // The durable tier is write-through behind the in-memory plane: turning it on
@@ -272,13 +281,13 @@ TEST(DiskRecovery, DiskOnOffIsBitIdentical) {
 // A tier that cannot open (its directory would sit under a regular file)
 // downgrades the run to in-memory at the first publish: the run completes on
 // the disk-off trajectory, the tier counts nothing, and checkpoints fall back
-// to the self-contained v2 format.
+// to a self-contained directory beside the pointer.
 TEST(DiskRecovery, UnopenableTierDowngradesToInMemory) {
   const Workload workload = tiny_workload(1);
   const std::string blocker = fresh_dir("tier_blocker");
   std::ofstream(blocker) << "a regular file, not a directory";
   const std::string ckpt = test_tmp() + "downgrade.ckpt";
-  std::remove(ckpt.c_str());
+  remove_checkpoint(ckpt);
 
   SolverConfig config = durable_config(12, blocker + "/store");
   config.checkpoint_every = 4;
@@ -296,8 +305,10 @@ TEST(DiskRecovery, UnopenableTierDowngradesToInMemory) {
   auto loaded = load_checkpoint(ckpt);
   ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
   EXPECT_EQ(loaded.value().update_index, 12u);
-  EXPECT_TRUE(loaded.value().store_dir.empty()) << "not a v2 checkpoint";
-  std::remove(ckpt.c_str());
+  EXPECT_NE(loaded.value().store_dir, config.store_config.disk.dir);
+  EXPECT_EQ(loaded.value().store_dir.rfind(ckpt + ".", 0), 0u)
+      << "not the self-contained directory: " << loaded.value().store_dir;
+  remove_checkpoint(ckpt);
 
   // The downgrade clears the store's switch, so later publishes do not try
   // to open the tier again.
@@ -307,6 +318,51 @@ TEST(DiskRecovery, UnopenableTierDowngradesToInMemory) {
   EXPECT_FALSE(store.disk_enabled());
   EXPECT_EQ(store.disk_tier(), nullptr);
   std::filesystem::remove(blocker);
+}
+
+// A tier that takes a few blobs and then fails every write drops its
+// publish and checkpoint records; each checkpoint falls back to a
+// self-contained directory beside the pointer, and the run still resumes
+// from it bit-exactly.
+TEST(DiskRecovery, FailedTierCheckpointFallsBackToSelfContainedBitExactly) {
+  const Workload workload = tiny_workload(1);
+  const std::string dir = fresh_dir("failing_tier");
+  const std::string ckpt = test_tmp() + "failing_tier.ckpt";
+  remove_checkpoint(ckpt);
+  {
+    SolverConfig config = durable_config(16, dir);
+    config.checkpoint_every = 8;
+    config.checkpoint_path = ckpt;
+    config.store_config.disk.retry_backoff_ms = 0.0;
+    engine::Cluster::Config cc = quiet_config(2);
+    cc.faults.fail_write(/*times=*/0, /*after=*/3);
+    engine::Cluster cluster(cc);
+    const RunResult leg = SgdSolver::run(cluster, workload, config);
+    EXPECT_EQ(leg.updates, 16u);
+    ASSERT_NE(cluster.faults(), nullptr);
+    EXPECT_GT(cluster.faults()->stats().disk_writes_failed, 0u);
+  }
+
+  auto loaded = load_checkpoint(ckpt);
+  ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
+  EXPECT_EQ(loaded.value().update_index, 16u);
+  EXPECT_EQ(loaded.value().store_dir.rfind(ckpt + ".", 0), 0u)
+      << "not the self-contained directory: " << loaded.value().store_dir;
+
+  engine::Cluster c_ref(quiet_config(2));
+  const RunResult uninterrupted =
+      SgdSolver::run(c_ref, workload, durable_config(30, ""));
+
+  SolverConfig resume = durable_config(30, dir);
+  resume.resume_from = ckpt;
+  engine::Cluster c2(quiet_config(2));
+  const RunResult resumed = SgdSolver::run(c2, workload, resume);
+
+  EXPECT_EQ(resumed.updates, 30u);
+  ASSERT_EQ(resumed.final_w.size(), uninterrupted.final_w.size());
+  EXPECT_EQ(linalg::max_abs_diff(resumed.final_w.span(), uninterrupted.final_w.span()),
+            0.0);
+  remove_checkpoint(ckpt);
 }
 
 }  // namespace

@@ -18,6 +18,13 @@ Exit code is 0 unless --strict is passed AND a hard (bit-identity) invariant
 broke. All wall-clock-derived metrics are advisory — shared CI runners are
 noisy — so timing drift never fails the job.
 
+The run's host factor — the median current/baseline ratio over every
+lower-is-better timing key both files hold — is printed after the table. A
+whole host running slower or faster than the baseline's moves every timing
+row by about that factor, so a row that regressed by no more than it is
+host speed rather than a code change. It is printed only; no status or exit
+code depends on it.
+
 With --telemetry-baseline/--telemetry-current the tool additionally diffs two
 span-telemetry reports (TelemetryReport::to_json, docs/TELEMETRY.md): per-stage
 p50/p99 and share-of-total, plus record/drop totals. Telemetry drift is always
@@ -32,6 +39,7 @@ Usage:
 
 import argparse
 import json
+import statistics
 import sys
 
 ADAPTIVE_OVER_DENSE_LIMIT = 1.2
@@ -106,6 +114,16 @@ def print_diff(baseline: dict, current: dict, tolerance: float,
         print(f"{key.ljust(width)}  {fmt(base)}  {fmt(cur)}  {status}")
 
 
+def host_factor(baseline: dict, current: dict):
+    """Median current/baseline ratio over the lower-is-better timing keys
+    both runs hold, and how many keys that is (None, 0 when there are none)."""
+    ratios = [current[k] / baseline[k] for k in baseline
+              if k in current and classify(k) == "lower_better"
+              and isinstance(current[k], (int, float))
+              and isinstance(baseline[k], (int, float)) and baseline[k] > 0]
+    return (statistics.median(ratios) if ratios else None), len(ratios)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--baseline", required=True)
@@ -127,6 +145,10 @@ def main() -> int:
 
     regressions, invariant_failures = [], []
     print_diff(baseline, current, args.tolerance, regressions, invariant_failures)
+    factor, timed = host_factor(baseline, current)
+    if factor is not None:
+        print(f"\nhost factor: {factor:.2f}x (median current/baseline over "
+              f"{timed} lower-is-better timing keys; advisory)")
 
     if args.telemetry_baseline and args.telemetry_current:
         with open(args.telemetry_baseline) as f:
